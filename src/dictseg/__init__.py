@@ -3,8 +3,9 @@ dictionary-expanded functional disturbance.
 
 The model search integrates the coefficients and the noise variance
 out of the posterior and samples the two inclusion vectors by
-Metropolis-Hastings; coefficients are then drawn by a Gibbs sampler
-conditionally on the selected model.
+Metropolis-Hastings; given the selected model, the coefficients and
+the noise level have a conjugate Normal-Inverse-Gamma posterior whose
+means are computed in closed form.
 """
 
 from .benchmark import BenchmarkReport, ReplicateRow, run_benchmark
@@ -26,11 +27,7 @@ from .gibbs import (
     FitResult,
     GibbsConfig,
     GibbsSampler,
-    GibbsState,
     GibbsTrace,
-    draw_beta,
-    draw_lambda,
-    draw_sigma2,
     run_gibbs,
 )
 from .io import (
@@ -73,7 +70,6 @@ from .stepmodel import (
     beta_to_segmentation,
     segmentation_to_beta,
     step_gram,
-    step_transpose_apply,
 )
 
 __version__ = "0.1.0"

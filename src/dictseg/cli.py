@@ -94,18 +94,27 @@ def cmd_simulate(args) -> int:
     return 0
 
 
-def _load_run_config(args) -> RunConfig:
-    if args.preset == "application":
-        base = RunConfig.application()
-    else:
-        base = RunConfig.default()
+def _base_config(args) -> RunConfig:
+    """The preset, or the sensitivity run, with the config file applied."""
     if args.run is not None:
+        if args.preset == "application":
+            raise ValidationError("--run selects a sensitivity preset built on the default "
+                                  "settings; it cannot be combined with --preset application")
         presets = sensitivity_presets()
         if args.run not in presets:
             raise ValidationError(f"run preset {args.run} not in 1..21")
         base = presets[args.run]
+    elif args.preset == "application":
+        base = RunConfig.application()
+    else:
+        base = RunConfig.default()
     if args.config:
         base = load_config(args.config, base=base)
+    return base
+
+
+def _load_run_config(args) -> RunConfig:
+    base = _base_config(args)
     overrides = {}
     if args.mode:
         overrides["mode"] = args.mode
@@ -139,7 +148,10 @@ def cmd_fit(args) -> int:
         selection = dio.load_selection(args.selection, series.n,
                                        design.num_atoms if design else None)
         ctx = build_context(series, hyper, design, cfg.mode)
-        fit = run_gibbs(ctx, selection, cfg.gibbs_config(seed=gibbs_seed))
+        fit = run_gibbs(ctx, selection,
+                        cfg.gibbs_config(seed=gibbs_seed, store_trace=args.save_draws))
+        if fit.trace is not None:
+            fit.trace.export_csv(out_dir / "gibbs_draws.csv")
         paths = dio.write_results(fit, None, series, out_dir, atom_labels=labels)
     elif args.stage == "mh":
         ctx = build_context(series, hyper, design, cfg.mode)
@@ -153,11 +165,12 @@ def cmd_fit(args) -> int:
         return 0
     else:
         out = fit_series(series, hyper, cfg.mh_config(seed=mh_seed),
-                         cfg.gibbs_config(seed=gibbs_seed), design=design)
+                         cfg.gibbs_config(seed=gibbs_seed, store_trace=args.save_draws),
+                         design=design)
         dio.write_selection(out.selection, out_dir / "selection.json")
         if args.save_trace:
             out.mh_trace.export_csv(out_dir / "mh_trace.csv")
-        if args.save_draws and out.fit.trace is not None:
+        if out.fit.trace is not None:
             out.fit.trace.export_csv(out_dir / "gibbs_draws.csv")
         paths = dio.write_results(out.fit, out.mh_trace, series, out_dir,
                                   atom_labels=labels)
@@ -200,14 +213,7 @@ def cmd_metrics(args) -> int:
 
 
 def cmd_bench(args) -> int:
-    cfg = RunConfig.application() if args.preset == "application" else RunConfig.default()
-    if args.run is not None:
-        presets = sensitivity_presets()
-        if args.run not in presets:
-            raise ValidationError(f"run preset {args.run} not in 1..21")
-        cfg = presets[args.run]
-    if args.config:
-        cfg = load_config(args.config, base=cfg)
+    cfg = _base_config(args)
     levels = [float(s) for s in args.sigmas.split(",")]
     methods = tuple(args.methods.split(","))
     report = run_benchmark(levels, args.replicates, methods=methods, config=cfg,

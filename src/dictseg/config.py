@@ -28,7 +28,7 @@ class RunConfig:
     iterations: int = 20000
     burn_in: int = 5000
     gibbs_iterations: int = 20000
-    gibbs_burn_in: int = 5000
+    gibbs_burn_in: int = 5000  # parsed and validated; the exact coefficient stage needs none
     init_segments: int = 3
     init_functions: int = 3
     flip_gamma: int = 2
@@ -61,7 +61,7 @@ class RunConfig:
     @classmethod
     def application(cls) -> "RunConfig":
         """Long-series settings: 100000 search iterations (30000
-        burn-in), 100000 coefficient iterations (50000 burn-in),
+        burn-in), 100000 coefficient draws (gibbs_burn_in 50000),
         5 initial segments and atoms, single-bit flips."""
         return cls(iterations=100_000, burn_in=30_000,
                    gibbs_iterations=100_000, gibbs_burn_in=50_000,
@@ -82,7 +82,7 @@ class RunConfig:
 
     def gibbs_config(self, seed: int | None = None, store_trace: bool = True) -> GibbsConfig:
         return GibbsConfig(
-            total_iterations=self.gibbs_iterations, burn_in=self.gibbs_burn_in,
+            total_iterations=self.gibbs_iterations,
             seed=self.seed if seed is None else seed, store_trace=store_trace,
         )
 

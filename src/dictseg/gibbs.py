@@ -1,22 +1,23 @@
-"""Conditional draws of the model coefficients given a selected model.
+"""Exact posterior of the model coefficients given a selected model.
 
-With the inclusion vectors fixed, the step coefficients, the atom
-coefficients and the noise variance have conjugate full conditionals:
+With the inclusion vectors fixed, the block g-priors on the step
+coefficients beta and the atom coefficients lambda and the 1/sigma2
+noise prior are Normal-Inverse-Gamma conjugate (Zellner's g-prior).
+Write theta = (beta, lambda), G = Xg'Xg, H = Fr'Fr, s1 = c1/(1+c1),
+s2 = c2/(1+c2) and
 
-    beta   ~ N( s1·G^{-1}·Xg'(Y - Fr·lambda),  sigma2·s1·G^{-1} )
-    lambda ~ N( s2·H^{-1}·Fr'(Y - Xg·beta),    sigma2·s2·H^{-1} )
-    sigma2 ~ InvGamma( a, b/2 )
+    P = [[ G/s1,   Xg'Fr ],        b = ( Xg'Y, Fr'Y ),
+         [ Fr'Xg,  H/s2  ]],
 
-where G = Xg'Xg, H = Fr'Fr, s1 = c1/(1+c1), s2 = c2/(1+c2),
-a = (n + d_g + d_r)/2 and b is the residual sum of squares plus the two
-g-prior penalties beta'G beta/c1 and lambda'H lambda/c2.  The inverse
-gamma is parametrized by shape a and scale b/2, density proportional to
-x^{-a-1}·exp(-(b/2)/x); this is the unique parametrization consistent
-with the product of the Gaussian likelihood, the two g-priors and the
-scale-invariant noise prior.
+then
 
-The scan order is beta, lambda, sigma2.  Segmentation-only fits skip
-the lambda step, drop the lambda penalty from b and use a = (n + d_g)/2.
+    theta | sigma2, Y ~ N( P^{-1} b, sigma2·P^{-1} )
+    sigma2 | Y        ~ InvGamma( n/2, q/2 ),   q = Y'Y - b'P^{-1} b,
+
+so the posterior means need no sampling: E theta = P^{-1} b and
+E sigma = sqrt(q/2)·Γ((n-1)/2)/Γ(n/2).  InvGamma(a, s) has shape a and
+scale s, density proportional to x^{-a-1}·exp(-s/x).  Segmentation-only
+fits keep the G block alone.
 
 The first step column and the constant atom are both all-ones, so the
 fit is invariant under moving a constant offset between the segment
@@ -28,6 +29,7 @@ The raw draws in the trace are left untouched.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -44,47 +46,31 @@ from .stepmodel import (
     step_gram,
 )
 
+# Draws are made this many rows at a time, written into the trace's
+# arrays, so no full-size temporary is ever allocated.
+DRAW_BLOCK = 1024
+
 
 @dataclass(frozen=True)
 class GibbsConfig:
     total_iterations: int = 20000
-    burn_in: int = 5000
     seed: int = 0
-    initial_sigma2: float | None = None
     store_trace: bool = True
 
     def __post_init__(self):
-        if not 0 <= self.burn_in < self.total_iterations:
-            raise ValidationError("burn_in must satisfy 0 <= burn_in < total_iterations")
-        if self.initial_sigma2 is not None and self.initial_sigma2 <= 0:
-            raise ValidationError("initial sigma2 must be positive")
-
-
-@dataclass(frozen=True)
-class GibbsState:
-    beta: np.ndarray
-    lam: np.ndarray | None
-    sigma2: float
-
-    def __post_init__(self):
-        if self.sigma2 <= 0:
-            raise ValidationError("sigma2 must be positive")
+        if self.total_iterations < 1:
+            raise ValidationError("total_iterations must be positive")
 
 
 @dataclass(frozen=True)
 class GibbsTrace:
-    """Post-initialization draws, one row per iteration."""
+    """Exact independent posterior draws, one row per draw."""
 
     beta: np.ndarray
     lam: np.ndarray | None
     sigma2: np.ndarray
     positions: tuple[int, ...]
     atoms: tuple[int, ...] | None
-
-    def state_at(self, t: int) -> GibbsState:
-        return GibbsState(beta=self.beta[t],
-                          lam=self.lam[t] if self.lam is not None else None,
-                          sigma2=float(self.sigma2[t]))
 
     def export_csv(self, path) -> None:
         cols = [f"beta@{p}" for p in self.positions]
@@ -125,7 +111,20 @@ class FitResult:
 
 
 class GibbsSampler:
-    """Per-selection precomputation plus the three conditional draws."""
+    """Per-selection precomputation plus the three full conditionals.
+
+    With the other blocks fixed,
+
+        beta   ~ N( s1·G^{-1}·Xg'(Y - Fr·lambda),  sigma2·s1·G^{-1} )
+        lambda ~ N( s2·H^{-1}·Fr'(Y - Xg·beta),    sigma2·s2·H^{-1} )
+        sigma2 ~ InvGamma( a, b/2 )
+
+    where a = (n + d_g + d_r)/2 and b is the residual sum of squares plus
+    the two g-prior penalties beta'G beta/c1 and lambda'H lambda/c2
+    (segmentation-only: no lambda, a = (n + d_g)/2).  ``run_gibbs`` uses
+    the cached blocks of the joint posterior; the conditionals are the
+    reference its closed form is checked against.
+    """
 
     def __init__(self, ctx: PosteriorContext, selection: LatentState):
         ctx.check_state(selection)
@@ -194,77 +193,72 @@ class GibbsSampler:
         return 1.0 / rng.gamma(shape=self.a_shape, scale=2.0 / b)
 
 
-def draw_beta(lam, sigma2, ctx, selection, rng) -> np.ndarray:
-    return GibbsSampler(ctx, selection).draw_beta(lam, sigma2, rng)
-
-
-def draw_lambda(beta, sigma2, ctx, selection, rng) -> np.ndarray:
-    return GibbsSampler(ctx, selection).draw_lambda(beta, sigma2, rng)
-
-
-def draw_sigma2(beta, lam, ctx, selection, rng) -> float:
-    return GibbsSampler(ctx, selection).draw_sigma2(beta, lam, rng)
-
-
 def run_gibbs(ctx: PosteriorContext, selection: LatentState, config: GibbsConfig,
               rng: np.random.Generator | None = None,
               inclusion: InclusionProbabilities | None = None) -> FitResult:
-    """Systematic-scan chain; posterior means over post-burn-in draws.
+    """Exact posterior means for the selected model.
 
-    Starts from the conditional means at the initial variance, which
-    removes the transient without biasing the retained draws.
+    With ``config.store_trace`` the result also carries
+    ``config.total_iterations`` independent draws from the joint
+    posterior: sigma2 from its inverse gamma, then theta + sigma·L^{-T}·z
+    with P = L·L'.
     """
-    if rng is None:
-        rng = np.random.default_rng(config.seed)
     sampler = GibbsSampler(ctx, selection)
     sp = ctx.mode == MODE_SP
+    d_g = sampler.d_gamma
 
-    sigma2 = config.initial_sigma2
-    if sigma2 is None:
-        sigma2 = float(np.var(ctx.series.values))
-        if sigma2 <= 0.0:
-            sigma2 = 1.0
-    beta = sampler.beta_mean(None if not sp else np.zeros(sampler.d_r))
-    lam = sampler.lambda_mean(beta) if sp else None
-
-    total, burn = config.total_iterations, config.burn_in
-    beta_draws = np.empty((total, sampler.d_gamma))
-    lam_draws = np.empty((total, sampler.d_r)) if sp else None
-    sigma2_draws = np.empty(total)
-    for t in range(total):
-        beta = sampler.draw_beta(lam, sigma2, rng)
-        if sp:
-            lam = sampler.draw_lambda(beta, sigma2, rng)
-        sigma2 = sampler.draw_sigma2(beta, lam, rng)
-        beta_draws[t] = beta
-        if sp:
-            lam_draws[t] = lam
-        sigma2_draws[t] = sigma2
-
-    beta_hat = beta_draws[burn:].mean(axis=0)
-    lambda_hat = lam_draws[burn:].mean(axis=0) if sp else None
-    sigma_hat = float(np.sqrt(sigma2_draws[burn:]).mean())
     if sp:
+        precision = np.block([[sampler.gram / sampler.s1, sampler.xtf],
+                              [sampler.xtf.T, sampler.frfr / sampler.s2]])
+        rhs = np.concatenate([sampler.xty, sampler.fty])
+    else:
+        precision = sampler.gram / sampler.s1
+        rhs = sampler.xty
+    # G and H are positive definite (the sampler checks H), hence so is P.
+    chol = np.linalg.cholesky(precision)
+    theta = cho_solve((chol, True), rhs)
+    q = ctx.yty - float(rhs @ theta)
+    if q <= 0.0:
+        raise ComputeError("inverse-gamma scale must be positive")
+    n = ctx.n
+    sigma_hat = math.sqrt(0.5 * q) * math.exp(math.lgamma(0.5 * (n - 1)) - math.lgamma(0.5 * n))
+
+    beta_hat = theta[:d_g].copy()
+    lambda_hat = f_hat = None
+    if sp:
+        lambda_hat = theta[d_g:].copy()
         beta_hat[0] += lambda_hat[0]
         lambda_hat[0] = 0.0
-    f_hat = sampler.f_sel @ lambda_hat if sp else None
+        f_hat = sampler.f_sel @ lambda_hat
 
     positions = tuple(int(p) for p in sampler.positions)
+    atoms = tuple(int(a) for a in sampler.atoms) if sp else None
     beta_sparse = SparseStepVector(
         entries={p: v for p, v in zip(positions, beta_hat) if v != 0.0})
-    segmentation = beta_to_segmentation(beta_sparse, ctx.n)
+    segmentation = beta_to_segmentation(beta_sparse, n)
 
     trace = None
     if config.store_trace:
-        trace = GibbsTrace(
-            beta=beta_draws, lam=lam_draws, sigma2=sigma2_draws,
-            positions=positions,
-            atoms=tuple(int(a) for a in sampler.atoms) if sp else None,
-        )
+        if rng is None:
+            rng = np.random.default_rng(config.seed)
+        draws = np.empty((config.total_iterations, theta.size))
+        sigma2 = np.empty(config.total_iterations)
+        for start in range(0, config.total_iterations, DRAW_BLOCK):
+            block = draws[start:start + DRAW_BLOCK]
+            block_sigma2 = sigma2[start:start + DRAW_BLOCK]
+            block_sigma2[:] = 1.0 / rng.gamma(shape=0.5 * n, scale=2.0 / q, size=len(block))
+            rng.standard_normal(out=block)
+            # block.T is Fortran-ordered, so LAPACK can solve it in place
+            block[:] = solve_triangular(chol, block.T, lower=True, trans="T",
+                                        overwrite_b=True).T
+            block *= np.sqrt(block_sigma2)[:, None]
+            block += theta
+        trace = GibbsTrace(beta=draws[:, :d_g], lam=draws[:, d_g:] if sp else None,
+                           sigma2=sigma2, positions=positions, atoms=atoms)
     return FitResult(
         mode=ctx.mode,
         positions=positions,
-        atoms=tuple(int(a) for a in sampler.atoms) if sp else None,
+        atoms=atoms,
         beta_hat=beta_hat,
         lambda_hat=lambda_hat,
         sigma_hat=sigma_hat,

@@ -5,6 +5,11 @@ first bit) in exactly one of the two vectors per iteration, picked by
 a fair coin; the kernel is symmetric, so a candidate is accepted with
 probability min{1, exp(log-density difference)}.
 
+Flipping an even number of bits keeps the parity of the number of
+selected free bits, so with even flip counts (the default flip_gamma =
+flip_r = 2) a chain never leaves the parity class of its initial state,
+e.g. from two free change-points it never reaches one or three.
+
 Traces do not store full states per iteration.  They record, per
 iteration, the proposal target, the acceptance flag, the log density
 of the resulting state and the indices that actually changed, plus a

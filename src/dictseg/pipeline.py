@@ -2,8 +2,10 @@
 
 Stage one runs the Metropolis-Hastings chain over inclusion vectors
 and keeps the components whose posterior inclusion probability exceeds
-1/2.  Stage two runs the Gibbs sampler conditionally on that selected
-model.  Both stages are resumable separately through the CLI.
+1/2.  Stage two computes the exact conjugate posterior of the
+coefficients and the noise level given that selected model, with
+optional independent draws.  Both stages are resumable separately
+through the CLI.
 """
 
 from __future__ import annotations

@@ -185,10 +185,3 @@ def apply_step(positions, values, n: int) -> np.ndarray:
     pos = np.asarray(positions, dtype=np.int64)
     out[pos - 1] = np.asarray(values, dtype=float)
     return np.cumsum(out)
-
-
-def step_transpose_apply(positions, vector: np.ndarray) -> np.ndarray:
-    """X_gamma' @ v via suffix sums: entry a is sum of v[t] for t >= p_a."""
-    suffix = np.cumsum(np.asarray(vector, dtype=float)[::-1])[::-1]
-    pos = np.asarray(positions, dtype=np.int64)
-    return suffix[pos - 1]

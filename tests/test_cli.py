@@ -113,6 +113,46 @@ class TestFitAndMetrics:
             assert ((workspace / "r1" / name).read_bytes()
                     == (workspace / "r2" / name).read_bytes())
 
+    def test_draws_only_with_save_draws(self, workspace):
+        series = workspace / "series.csv"
+        main(["simulate", "--n", "60", "--sigma", "0.1", "--seed", "4",
+              "--out", str(series)])
+        args = ["fit", "--input", str(series), "--mode", "sp",
+                "--dictionary", "exchange",
+                "--config", str(workspace / "fast.cfg"), "--seed", "11"]
+        assert main(args + ["--out-dir", str(workspace / "plain")]) == 0
+        assert not (workspace / "plain" / "gibbs_draws.csv").exists()
+        for name in ("d1", "d2"):
+            assert main(args + ["--out-dir", str(workspace / name), "--save-draws"]) == 0
+        first = (workspace / "d1" / "gibbs_draws.csv").read_bytes()
+        assert len(first.decode().splitlines()) == 1 + 800  # header + gibbs_iterations
+        assert first == (workspace / "d2" / "gibbs_draws.csv").read_bytes()
+
+    def test_gibbs_stage_draws_only_with_save_draws(self, workspace):
+        series = workspace / "series.csv"
+        main(["simulate", "--n", "60", "--sigma", "0.1", "--seed", "4",
+              "--out", str(series)])
+        selection = workspace / "selection.json"
+        selection.write_text(json.dumps({"positions": [1, 20, 40]}))
+        args = ["fit", "--input", str(series), "--mode", "p", "--stage", "gibbs",
+                "--selection", str(selection),
+                "--config", str(workspace / "fast.cfg"), "--seed", "2"]
+        assert main(args + ["--out-dir", str(workspace / "plain")]) == 0
+        assert not (workspace / "plain" / "gibbs_draws.csv").exists()
+        assert main(args + ["--out-dir", str(workspace / "draws"), "--save-draws"]) == 0
+        lines = (workspace / "draws" / "gibbs_draws.csv").read_text().splitlines()
+        assert lines[0] == "iteration,beta@1,beta@20,beta@40,sigma2"
+        assert len(lines) == 1 + 800
+
+    def test_run_preset_with_application_preset_is_rejected(self, workspace, capsys):
+        series = workspace / "series.csv"
+        main(["simulate", "--n", "60", "--sigma", "0.1", "--seed", "4",
+              "--out", str(series)])
+        code = main(["fit", "--input", str(series), "--out-dir", str(workspace / "x"),
+                     "--mode", "p", "--preset", "application", "--run", "3"])
+        assert code == 2
+        assert "error (validation)" in capsys.readouterr().err
+
 
 class TestDict:
     def test_design_matrix_export(self, workspace):
@@ -149,3 +189,10 @@ class TestBench:
         assert len(rows) == 1 + 4  # header + 2 replicates x 2 methods
         summary = json.loads((out_dir / "summary.json").read_text())
         assert {s["method"] for s in summary} == {"sp", "p"}
+
+    def test_run_preset_with_application_preset_is_rejected(self, workspace, capsys):
+        code = main(["bench", "--sigmas", "0.1", "--replicates", "1",
+                     "--preset", "application", "--run", "3",
+                     "--out-dir", str(workspace / "bench")])
+        assert code == 2
+        assert "error (validation)" in capsys.readouterr().err

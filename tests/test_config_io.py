@@ -235,8 +235,8 @@ class TestWriteResults:
         trace = run_metropolis_hastings(ctx, cfg)
         incl = inclusion_probabilities(trace, cfg.burn_in)
         sel = select_median_probability_model(incl)
-        fit = run_gibbs(ctx, sel, GibbsConfig(total_iterations=300, burn_in=50,
-                                              seed=6), inclusion=incl)
+        fit = run_gibbs(ctx, sel, GibbsConfig(total_iterations=300, seed=6),
+                        inclusion=incl)
         labels = ctx.design.labels if ctx.design is not None else None
         return write_results(fit, trace, ctx.series, tmp_path / mode,
                              atom_labels=labels)

@@ -12,13 +12,13 @@ from dictseg import (
     LatentState,
     PosteriorContext,
     TimeSeries,
-    draw_sigma2,
     evaluate_dictionary,
     make_series,
     run_gibbs,
     simulation_dictionary,
 )
 from conftest import make_state, small_context
+from oracles import batch_means_mcse, conditional_chain, exact_coefficients_dense
 
 
 def sampler_for(ctx, gamma_positions, atom_indices=None):
@@ -118,20 +118,12 @@ class TestSigma2Conditional:
         lam = np.array([0.0, 1.5, -2.0, 3.0])
         assert sampler.sigma2_b(beta, lam) > 0.0
 
-    def test_module_level_wrapper(self, rng):
-        ctx = small_context(n=20, seed=4)
-        state = make_state([1, 7], 20, [1, 2], 3)
-        value = draw_sigma2(np.array([0.5, 0.2]), np.array([0.1, -0.3]),
-                            ctx, state, rng)
-        assert value > 0.0
-
 
 class TestRunGibbs:
     def test_reconstruction_identities(self):
         ctx = small_context(n=24, seed=5)
         selection = make_state([1, 9, 17], 24, [1, 2], 3)
-        fit = run_gibbs(ctx, selection, GibbsConfig(total_iterations=2000,
-                                                    burn_in=500, seed=8))
+        fit = run_gibbs(ctx, selection, GibbsConfig(total_iterations=2000, seed=8))
         f_sel = ctx.design.matrix[:, [0, 1]]
         np.testing.assert_allclose(fit.f_hat, f_sel @ fit.lambda_hat, atol=1e-12)
         np.testing.assert_allclose(fit.mean_path(24),
@@ -143,7 +135,7 @@ class TestRunGibbs:
     def test_deterministic_given_seed(self):
         ctx = small_context(n=24, seed=5)
         selection = make_state([1, 9], 24, [1, 3], 3)
-        cfg = GibbsConfig(total_iterations=800, burn_in=200, seed=13)
+        cfg = GibbsConfig(total_iterations=800, seed=13)
         f1 = run_gibbs(ctx, selection, cfg)
         f2 = run_gibbs(ctx, selection, cfg)
         np.testing.assert_array_equal(f1.trace.beta, f2.trace.beta)
@@ -175,8 +167,8 @@ class TestRunGibbs:
         beta = np.array([0.3, -0.6])
         np.testing.assert_allclose(s1.f_sel @ s1.lambda_mean(beta),
                                    s2.f_sel @ s2.lambda_mean(beta), atol=1e-10)
-        # and the chain estimates agree up to Monte-Carlo error
-        cfg = GibbsConfig(total_iterations=20000, burn_in=5000, seed=21)
+        # and the posterior-mean estimates agree
+        cfg = GibbsConfig(total_iterations=20000, seed=21)
         f1 = run_gibbs(ctx1, sel1, cfg)
         f2 = run_gibbs(ctx2, sel2, cfg)
         np.testing.assert_allclose(f1.f_hat, f2.f_hat, atol=0.1)
@@ -190,8 +182,7 @@ class TestRunGibbs:
         ctx = PosteriorContext(series, hyper, design, MODE_SP)
         selection = make_state([1, 8, 19, 37], n, [1, 11, 51, 61, 110],
                                design.num_atoms)
-        fit = run_gibbs(ctx, selection, GibbsConfig(total_iterations=4000,
-                                                    burn_in=1000, seed=2))
+        fit = run_gibbs(ctx, selection, GibbsConfig(total_iterations=4000, seed=2))
         assert 0.0 < fit.sigma_hat < 0.5
 
     def test_published_particular_series_estimates(self):
@@ -218,8 +209,7 @@ class TestRunGibbs:
     def test_mode_p_skips_the_atom_part(self):
         ctx = small_context(n=24, seed=6, mode=MODE_P)
         selection = make_state([1, 13], 24)
-        fit = run_gibbs(ctx, selection, GibbsConfig(total_iterations=1000,
-                                                    burn_in=200, seed=4))
+        fit = run_gibbs(ctx, selection, GibbsConfig(total_iterations=1000, seed=4))
         assert fit.lambda_hat is None and fit.f_hat is None
         assert fit.trace.lam is None
         sampler = GibbsSampler(ctx, selection)
@@ -228,18 +218,92 @@ class TestRunGibbs:
     def test_trace_export(self, tmp_path):
         ctx = small_context(n=24, seed=5)
         selection = make_state([1, 9], 24, [1, 3], 3)
-        fit = run_gibbs(ctx, selection, GibbsConfig(total_iterations=50,
-                                                    burn_in=10, seed=13))
+        fit = run_gibbs(ctx, selection, GibbsConfig(total_iterations=50, seed=13))
         path = tmp_path / "draws.csv"
         fit.trace.export_csv(path)
         lines = path.read_text().splitlines()
         assert lines[0] == "iteration,beta@1,beta@9,lambda@1,lambda@3,sigma2"
         assert len(lines) == 51
-        state = fit.trace.state_at(7)
-        assert state.sigma2 == fit.trace.sigma2[7]
-        np.testing.assert_array_equal(state.beta, fit.trace.beta[7])
 
-    def test_state_requires_positive_variance(self):
-        from dictseg import GibbsState, ValidationError
-        with pytest.raises(ValidationError):
-            GibbsState(beta=np.array([1.0]), lam=None, sigma2=0.0)
+
+def published_instance(mode):
+    """The sigma = 0.1 particular series with its exactly recovered model."""
+    n = 100
+    noise = np.random.default_rng(2033).normal(0, 0.1, n)
+    noise[35] = 0.5
+    series, _ = make_series(n, (7, 18, 36), (2.0, 0.0, 2.0, 3.0), 0.1, noise=noise)
+    if mode == MODE_P:
+        ctx = PosteriorContext(series, Hyperparameters.flat(n, None), None, MODE_P)
+        return ctx, make_state([1, 8, 19, 37], n)
+    design = evaluate_dictionary(simulation_dictionary(n, "point100"), series.covariate)
+    ctx = PosteriorContext(series, Hyperparameters.flat(n, design.num_atoms), design, MODE_SP)
+    return ctx, make_state([1, 8, 19, 37], n, [1, 11, 51, 61, 110], design.num_atoms)
+
+
+def small_instance(mode):
+    ctx = small_context(n=30, seed=1, mode=mode)
+    if mode == MODE_P:
+        return ctx, make_state([1, 11, 22], 30)
+    return ctx, make_state([1, 11, 22], 30, [1, 2], 3)
+
+
+def reported_vector(beta, lam, sigma):
+    """Estimates in one vector: beta (position 1 holding the constant
+    direction), the non-constant atom coefficients, then sigma."""
+    parts = [beta] + ([lam[1:]] if lam is not None else []) + [[sigma]]
+    return np.concatenate(parts)
+
+
+def draws_vector(beta, lam, sigma2):
+    """Per-draw values whose means are the reported estimates."""
+    beta = beta.copy()
+    parts = [beta]
+    if lam is not None:
+        beta[:, 0] += lam[:, 0]
+        parts.append(lam[:, 1:])
+    return np.hstack(parts + [np.sqrt(sigma2)[:, None]])
+
+
+class TestClosedForm:
+    @pytest.mark.parametrize("mode", [MODE_SP, MODE_P])
+    @pytest.mark.parametrize("instance", [small_instance, published_instance])
+    def test_matches_dense_normal_equations(self, mode, instance):
+        ctx, selection = instance(mode)
+        fit = run_gibbs(ctx, selection, GibbsConfig(store_trace=False))
+        beta, lam, sigma = exact_coefficients_dense(ctx, selection)
+        np.testing.assert_allclose(fit.beta_hat, beta, rtol=1e-9, atol=1e-12)
+        if mode == MODE_SP:
+            np.testing.assert_allclose(fit.lambda_hat, lam, rtol=1e-9, atol=1e-12)
+        else:
+            assert fit.lambda_hat is None
+        assert fit.sigma_hat == pytest.approx(sigma, rel=1e-9)
+
+    def test_matches_long_conditional_chain(self):
+        ctx, selection = small_instance(MODE_SP)
+        betas, lams, sigma2s = conditional_chain(GibbsSampler(ctx, selection), 41000,
+                                                 np.random.default_rng(77))
+        chain = draws_vector(betas, lams, sigma2s)[1000:]
+        fit = run_gibbs(ctx, selection, GibbsConfig(store_trace=False))
+        exact = reported_vector(fit.beta_hat, fit.lambda_hat, fit.sigma_hat)
+        mcse = batch_means_mcse(chain)
+        assert np.all(np.abs(chain.mean(axis=0) - exact) <= 3 * mcse)
+
+    @pytest.mark.parametrize("mode", [MODE_SP, MODE_P])
+    def test_iid_draws_match_reported_means(self, mode):
+        ctx, selection = published_instance(mode)
+        fit = run_gibbs(ctx, selection, GibbsConfig(total_iterations=20000, seed=5))
+        trace = fit.trace
+        assert trace.sigma2.shape == (20000,)
+        draws = draws_vector(trace.beta, trace.lam, trace.sigma2)
+        exact = reported_vector(fit.beta_hat, fit.lambda_hat, fit.sigma_hat)
+        # the draws are independent, so the MCSE is the plain standard error
+        mcse = draws.std(axis=0, ddof=1) / np.sqrt(len(draws))
+        assert np.all(np.abs(draws.mean(axis=0) - exact) <= 3 * mcse)
+
+    def test_no_trace_unless_asked(self):
+        ctx, selection = small_instance(MODE_SP)
+        bare = run_gibbs(ctx, selection, GibbsConfig(seed=5, store_trace=False))
+        traced = run_gibbs(ctx, selection, GibbsConfig(total_iterations=100, seed=5))
+        assert bare.trace is None and traced.trace is not None
+        np.testing.assert_array_equal(bare.beta_hat, traced.beta_hat)
+        assert bare.sigma_hat == traced.sigma_hat

@@ -12,7 +12,6 @@ from dictseg import (
     beta_to_segmentation,
     segmentation_to_beta,
     step_gram,
-    step_transpose_apply,
 )
 from oracles import dense_step_gram, dense_step_matrix
 
@@ -168,11 +167,3 @@ class TestStepProducts:
         values = rng.normal(size=4)
         dense = dense_step_matrix(n)[:, np.array(positions) - 1] @ values
         np.testing.assert_allclose(apply_step(positions, values, n), dense)
-
-    def test_transpose_apply_matches_dense(self):
-        rng = np.random.default_rng(4)
-        n = 25
-        positions = [1, 7, 20]
-        v = rng.normal(size=n)
-        dense = dense_step_matrix(n)[:, np.array(positions) - 1].T @ v
-        np.testing.assert_allclose(step_transpose_apply(positions, v), dense)
