@@ -58,7 +58,6 @@ from .posterior import (
     LatentState,
     PosteriorContext,
     log_integrated_posterior,
-    log_integrated_posterior_dense,
     log_prior_inclusion,
 )
 from .simulate import SeriesTruth, disturbance, make_series, simulate_series, true_atom_indices

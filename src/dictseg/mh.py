@@ -10,11 +10,32 @@ selected free bits, so with even flip counts (the default flip_gamma =
 flip_r = 2) a chain never leaves the parity class of its initial state,
 e.g. from two free change-points it never reaches one or three.
 
+The chain is the sequential one, computed in blocks.  Each iteration
+draws, in this order, the coin (mode sp only), the flip indices and,
+only when the log-density change is finite and negative, the accept
+uniform.  Most proposals are rejected, so the kernel speculates: from
+the current state it draws the next B proposals as if every one drew
+its uniform, saving the generator state just before each uniform, and
+scores all B in one ``evaluate_stack`` call.  It then walks the block
+in order.  A proposal that needs its uniform uses the pre-drawn one;
+if it is accepted, the rest of the block stays valid (the draws do not
+depend on the state) and is scored again from the new state.  A
+proposal whose change is >= 0 or -inf draws no uniform in the
+sequential chain, so the kernel restores the saved generator state and
+starts a new block there.  The random stream, and hence the trace, is
+the sequential kernel's for any B.  B is three times the number of
+iterations per event so far (an accept or a -inf proposal, each of
+which ends or re-scores a block), at most MAX_BLOCK: one call costs
+about as much as a hundred extra candidates, so a block should
+usually outlast the run to the next event.
+
 Traces do not store full states per iteration.  They record, per
 iteration, the proposal target, the acceptance flag, the log density
 of the resulting state and the indices that actually changed, plus a
 full snapshot every ``snapshot_every`` iterations; states are
-reconstructed exactly by replaying the deltas.
+reconstructed exactly by replaying the deltas.  They also count the
+-inf proposals per target, the ``evaluate_stack`` calls and the
+candidates those calls scored.
 """
 
 from __future__ import annotations
@@ -25,17 +46,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ComputeError, ValidationError
-from .posterior import (
-    MODE_P,
-    MODE_SP,
-    LatentState,
-    PosteriorContext,
-    _evaluate,
-    log_integrated_posterior,
-)
+from .posterior import MODE_P, MODE_SP, LatentState, PosteriorContext, evaluate_stack
 
 TARGET_GAMMA = 0
 TARGET_R = 1
+MAX_BLOCK = 64
 
 
 @dataclass(frozen=True)
@@ -79,25 +94,45 @@ def _draw_flip_indices(rng: np.random.Generator, length: int, count: int) -> np.
     return rng.choice(length - 1, size=count, replace=False) + 1
 
 
+def _flip(selected: np.ndarray, flips: np.ndarray, pad: int) -> np.ndarray:
+    """Selected indices after each row of ``flips`` is flipped.
+
+    ``selected`` holds the ascending indices of the set bits, ``flips``
+    (B, count) distinct indices per row, where ``pad`` (one past the
+    last bit) flips nothing.  Returns (B, w) ascending rows; an index
+    flipped off becomes ``pad``, which sorts last, and columns that are
+    padding in every row are dropped.
+    """
+    rows = np.empty((len(flips), len(selected) + flips.shape[1]), dtype=np.int64)
+    rows[:, :len(selected)] = selected
+    rows[:, len(selected):] = flips
+    rows.sort(axis=1)
+    twice = rows[:, 1:] == rows[:, :-1]
+    rows[:, 1:][twice] = pad
+    rows[:, :-1][twice] = pad
+    rows.sort(axis=1)
+    return rows[:, :(rows < pad).sum(axis=1).max()]
+
+
 def propose_flip(state: LatentState, which: str, count: int,
                  rng: np.random.Generator) -> LatentState:
     """Flip ``count`` distinct bits of one vector; bit 1 never flips.
 
-    Involutive in the chosen index set, hence a symmetric kernel.
+    Involutive in the chosen index set, hence a symmetric kernel.  The
+    sampler draws and applies its proposals with the same two routines.
     """
+    if which not in ("gamma", "r"):
+        raise ValidationError("which must be 'gamma' or 'r'")
+    if which == "r" and state.r is None:
+        raise ValidationError("state has no atom component to flip")
+    bits = state.gamma if which == "gamma" else state.r
+    idx = _draw_flip_indices(rng, len(bits), count)
+    selected = _flip(np.flatnonzero(bits), idx[None], len(bits))[0]
+    out = np.zeros_like(bits)
+    out[selected[selected < len(bits)]] = True
     if which == "gamma":
-        bits = state.gamma.copy()
-        idx = _draw_flip_indices(rng, len(bits), count)
-        bits[idx] = ~bits[idx]
-        return LatentState(gamma=bits, r=state.r)
-    if which == "r":
-        if state.r is None:
-            raise ValidationError("state has no atom component to flip")
-        bits = state.r.copy()
-        idx = _draw_flip_indices(rng, len(bits), count)
-        bits[idx] = ~bits[idx]
-        return LatentState(gamma=state.gamma, r=bits)
-    raise ValidationError("which must be 'gamma' or 'r'")
+        return LatentState(gamma=out, r=state.r)
+    return LatentState(gamma=state.gamma, r=out)
 
 
 class MHTrace:
@@ -106,7 +141,8 @@ class MHTrace:
     def __init__(self, n, num_atoms, mode, initial_gamma, initial_r,
                  initial_log_density, which, accepted, log_density,
                  flip_offsets, flip_indices, snapshot_every,
-                 snapshots_gamma, snapshots_r):
+                 snapshots_gamma, snapshots_r, neg_inf=(0, 0),
+                 evaluator_calls=0, candidates_evaluated=0):
         self.n = n
         self.num_atoms = num_atoms
         self.mode = mode
@@ -121,6 +157,11 @@ class MHTrace:
         self.snapshot_every = snapshot_every
         self.snapshots_gamma = snapshots_gamma
         self.snapshots_r = snapshots_r
+        # (gamma, r) counts of proposals with density -inf, and the work
+        # of the block kernel; neither enters the exported files
+        self.neg_inf = tuple(neg_inf)
+        self.evaluator_calls = evaluator_calls
+        self.candidates_evaluated = candidates_evaluated
 
     def __len__(self) -> int:
         return len(self.accepted)
@@ -280,6 +321,23 @@ def _sample_initial(ctx: PosteriorContext, config: MHConfig,
     return LatentState(gamma=gamma, r=r)
 
 
+def _score(ctx: PosteriorContext, gidx, ridx, logdet_f, on_gamma, flips_g, flips_r):
+    """Score proposals of the current state in one ``evaluate_stack`` call.
+
+    Row j of ``flips_g`` (``flips_r``) holds proposal j's flips of gamma
+    (r), or padding.  Returns the log densities (a list), the
+    candidates' step and atom rows and their log det Fr'Fr; gamma moves
+    reuse the current state's.
+    """
+    g_stack = _flip(gidx, flips_g, ctx.n)
+    if ridx is None:
+        return evaluate_stack(ctx, g_stack)[0].tolist(), g_stack, None, None
+    r_stack = _flip(ridx, flips_r, ctx.num_atoms)
+    values, logdets = evaluate_stack(ctx, g_stack, r_stack,
+                                     np.where(on_gamma, logdet_f, np.nan))
+    return values.tolist(), g_stack, r_stack, logdets
+
+
 def run_metropolis_hastings(ctx: PosteriorContext, config: MHConfig,
                             rng: np.random.Generator | None = None,
                             snapshot_every: int = 1000) -> MHTrace:
@@ -289,20 +347,26 @@ def run_metropolis_hastings(ctx: PosteriorContext, config: MHConfig,
     if rng is None:
         rng = np.random.default_rng(config.seed)
     n = ctx.n
+    m = ctx.num_atoms
     if config.flip_gamma > n - 1:
         raise ValidationError("flip_gamma exceeds the number of free positions")
-    if ctx.mode == MODE_SP and config.flip_r > ctx.num_atoms - 1:
+    if ctx.mode == MODE_SP and config.flip_r > m - 1:
         raise ValidationError("flip_r exceeds the number of free atoms")
 
-    state = _sample_initial(ctx, config, rng)
-    log_post = log_integrated_posterior(state, ctx)
-    attempts = 1
-    while log_post == -np.inf:
+    sp = ctx.mode == MODE_SP
+    attempts = 0
+    while True:
         if attempts >= 100:
             raise ComputeError("could not find an initial state with finite density")
         state = _sample_initial(ctx, config, rng)
-        log_post = log_integrated_posterior(state, ctx)
         attempts += 1
+        gidx = np.flatnonzero(state.gamma)
+        ridx = np.flatnonzero(state.r) if sp else None
+        values, logdets = evaluate_stack(ctx, gidx[None], None if ridx is None else ridx[None])
+        log_post = float(values[0])
+        if log_post > -np.inf:
+            break
+    logdet_f = float(logdets[0]) if sp else None
 
     gamma = state.gamma.copy()
     r = state.r.copy() if state.r is not None else None
@@ -318,44 +382,86 @@ def run_metropolis_hastings(ctx: PosteriorContext, config: MHConfig,
     flip_chunks: list[np.ndarray] = []
     snapshots_gamma: list[np.ndarray] = []
     snapshots_r: list[np.ndarray] | None = [] if r is not None else None
+    neg_inf = [0, 0]
+    events = calls = scored = 0
 
-    sp = ctx.mode == MODE_SP
-    for t in range(total):
-        use_gamma = not sp or rng.random() < 0.5
-        if use_gamma:
-            target, vec, count = TARGET_GAMMA, gamma, config.flip_gamma
-        else:
-            target, vec, count = TARGET_R, r, config.flip_r
-        idx = _draw_flip_indices(rng, len(vec), count)
-        vec[idx] = ~vec[idx]
-        log_post_new = _evaluate(ctx, gamma, r)
-        delta = log_post_new - log_post
-        accept = delta >= 0 or (delta > -np.inf and math.log(rng.random()) < delta)
-        which[t] = target
-        if accept:
-            accepted[t] = True
-            log_post = log_post_new
-            flip_chunks.append(np.sort(idx).astype(np.int32))
-            flip_offsets[t + 1] = flip_offsets[t] + idx.size
-        else:
-            vec[idx] = ~vec[idx]
-            flip_offsets[t + 1] = flip_offsets[t]
-        log_density[t] = log_post
-        if snapshot_every and (t + 1) % snapshot_every == 0:
-            snapshots_gamma.append(gamma.copy())
-            if snapshots_r is not None:
-                snapshots_r.append(r.copy())
+    t = 0
+    while t < total:
+        size = min(MAX_BLOCK, total - t, max(1, 3 * (t + 1) // (events + 1)))
+        on_gamma = np.ones(size, dtype=bool)
+        flips_g = np.full((size, config.flip_gamma), n)
+        flips_r = np.full((size, config.flip_r), m) if sp else None
+        saved, uniforms = [], []
+        for j in range(size):
+            if sp and rng.random() >= 0.5:
+                on_gamma[j] = False
+                flips_r[j] = _draw_flip_indices(rng, m, config.flip_r)
+            else:
+                flips_g[j] = _draw_flip_indices(rng, n, config.flip_gamma)
+            saved.append(rng.bit_generator.state)
+            uniforms.append(rng.random())
+        values, g_stack, r_stack, logdets = _score(ctx, gidx, ridx, logdet_f,
+                                                   on_gamma, flips_g, flips_r)
+        calls += 1
+        scored += size
+        first = 0  # the proposal that row 0 of the scores belongs to
+        for j in range(size):
+            k = j - first
+            delta = values[k] - log_post
+            target = TARGET_GAMMA if on_gamma[j] else TARGET_R
+            if delta == -np.inf or delta >= 0.0:
+                # the sequential kernel draws no uniform here: rewind the
+                # stream to just before it and start a new block
+                rng.bit_generator.state = saved[j]
+                accept, block_ends = delta >= 0.0, True
+                if not accept:
+                    neg_inf[target] += 1
+            else:
+                accept, block_ends = math.log(uniforms[j]) < delta, False
+            which[t] = target
+            if accept:
+                idx = flips_g[j] if target == TARGET_GAMMA else flips_r[j]
+                if target == TARGET_GAMMA:
+                    gamma[idx] = ~gamma[idx]
+                    gidx = g_stack[k][g_stack[k] < n]
+                else:
+                    r[idx] = ~r[idx]
+                    ridx = r_stack[k][r_stack[k] < m]
+                    logdet_f = logdets[k]
+                log_post = values[k]
+                accepted[t] = True
+                flip_chunks.append(np.sort(idx).astype(np.int32))
+                flip_offsets[t + 1] = flip_offsets[t] + idx.size
+            else:
+                flip_offsets[t + 1] = flip_offsets[t]
+            events += accept or block_ends
+            log_density[t] = log_post
+            t += 1
+            if snapshot_every and t % snapshot_every == 0:
+                snapshots_gamma.append(gamma.copy())
+                if snapshots_r is not None:
+                    snapshots_r.append(r.copy())
+            if block_ends:
+                break
+            if accept and j + 1 < size:
+                first = j + 1
+                values, g_stack, r_stack, logdets = _score(
+                    ctx, gidx, ridx, logdet_f, on_gamma[first:], flips_g[first:],
+                    None if flips_r is None else flips_r[first:])
+                calls += 1
+                scored += size - first
 
     flip_indices = (np.concatenate(flip_chunks).astype(np.int32)
                     if flip_chunks else np.empty(0, dtype=np.int32))
     return MHTrace(
-        n=n, num_atoms=ctx.num_atoms, mode=ctx.mode,
+        n=n, num_atoms=m, mode=ctx.mode,
         initial_gamma=initial_gamma, initial_r=initial_r,
         initial_log_density=initial_log_density,
         which=which, accepted=accepted, log_density=log_density,
         flip_offsets=flip_offsets, flip_indices=flip_indices,
         snapshot_every=snapshot_every,
         snapshots_gamma=snapshots_gamma, snapshots_r=snapshots_r,
+        neg_inf=neg_inf, evaluator_calls=calls, candidates_evaluated=scored,
     )
 
 

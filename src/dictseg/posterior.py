@@ -12,29 +12,44 @@ with  A = (1 + 1/c2)·Fr'Fr - s·(Xg'Fr)'(Xg'Xg)^{-1}(Xg'Fr),
       q = Y'Uinv·Y - v'A^{-1}v,   v = Fr'Uinv·Y,
       Uinv = I - s·Xg(Xg'Xg)^{-1}Xg',   s = c1/(1+c1).
 
-The optimized path expands every Uinv product through that projection
-identity, so no n x n matrix is ever formed: per evaluation it gathers
-cached suffix sums (O(n·(d_g + d_r)) work) and factorizes matrices of
-size d_g and d_r only.  A dense reference path forms Uinv explicitly
-and follows the integration result term by term; both paths return the
-same value, shared constant included.
+Xg'Xg[a,b] = n+1-max(p_a,p_b) is a min-kernel matrix with a tridiagonal
+inverse, so every projection onto the step columns is a sum over
+segments: for any columns V, V'Xg(Xg'Xg)^{-1}Xg'V = sum_k S_k S_k'/L_k,
+where S_k is the sum of V's rows over segment k (from one selected
+position to the row before the next) and L_k its length.  Segment sums
+are differences of cached suffix sums, so the step side needs no
+factorization at all, and no n x n or n x d matrix is formed.
+
+One evaluator, ``evaluate_stack``, scores a whole stack of candidate
+models in one call; ``log_integrated_posterior`` is a stack of one.
+Candidates of different sizes share the stack through padding: padded
+positions are empty segments and padded atoms identity rows.  Every
+step is elementwise, a reduction of fixed length, or a running total
+in index order, and the factorization of
+[[A, v], [v', Y'Uinv·Y]] (whose last pivot is q) is a right-looking
+elimination written out in those terms.  So padding adds exact zeros
+after every real term, and a model's value is the same to the last bit
+whatever stack it is scored in.  The log prior is summed over the
+selected indices alone (O(d_g + d_r)), never over all n + M bits.
 
 Segmentation-only evaluation ("p" mode) drops every r-dependent term:
 -(d_g/2)·log(1+c1) + log_prior(gamma) - (n/2)·log(q_p/2) with
 q_p = Y'Uinv·Y (same integration with the dictionary term absent).
 
-Singular Fr'Fr or A means the selected atoms are linearly dependent:
-the model is improper under the g-prior, and the state gets density
--inf rather than a jittered factorization.  Likewise q below the
-relative floor Q_FLOOR·Y'Y is treated as a degenerate perfect fit.
+Linearly dependent selected atoms make the model improper under the
+g-prior, and the state gets density -inf rather than a jittered
+factorization: a pivot of Fr'Fr or A below PIVOT_FLOOR times its
+column's diagonal marks it, which catches exactly duplicated atoms
+whatever the rounding.  Likewise q below the relative floor
+Q_FLOOR·Y'Y is treated as a degenerate perfect fit.
 """
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_solve
 
 from .dictionary import DesignMatrix
 from .errors import ValidationError
@@ -44,6 +59,7 @@ MODE_SP = "sp"
 MODE_P = "p"
 
 Q_FLOOR = 1e-12
+PIVOT_FLOOR = 1e-12
 
 
 def _log_or_neg_inf(p: np.ndarray) -> np.ndarray:
@@ -147,11 +163,69 @@ def log_prior_inclusion(bits: np.ndarray, probs: np.ndarray) -> float:
     return float(np.where(bits, lp1, lp0).sum())
 
 
+def _physical_memory() -> int:
+    """Bytes of physical memory on this machine."""
+    return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+
+
+def _total(x: np.ndarray) -> np.ndarray:
+    """Sum over axis 0 in index order, so trailing zeros change no bit.
+
+    (numpy may sum a fast axis pairwise, grouping terms by the axis
+    length; this loop never does.)
+    """
+    out = x[0].copy()
+    for row in x[1:]:
+        out += row
+    return out
+
+
+class _IndexPrior:
+    """Independent-Bernoulli log prior, less ``cost`` per selected bit,
+    of columns of selected indices.
+
+    The value is base + the sum of gain over the selected indices, where
+    base sums log(1-p) over the unforced bits and gain = log p -
+    log(1-p) - cost; a bit with p = 1 is forced (gain -cost) and leaving
+    it clear gives -inf.  The padding index (one past the last bit) has
+    gain 0.  The first bit, pinned in every state, is not checked.
+    """
+
+    def __init__(self, probs: np.ndarray, cost: float):
+        self.cost = cost
+        forced = probs == 1.0
+        with np.errstate(divide="ignore"):
+            lp0 = np.log1p(-probs)
+            gain = np.log(probs) - lp0
+        self.base = float(lp0[~forced].sum())
+        self.gain = np.zeros(len(probs) + 1)
+        self.gain[:-1] = np.where(forced, 0.0, gain) - cost
+        forced[0] = False
+        self.forced = np.append(forced, False)
+        self.num_forced = int(forced.sum())
+
+    def __call__(self, idx: np.ndarray) -> np.ndarray:
+        """Values for the states whose selected indices are the columns
+        of ``idx`` (d, B)."""
+        value = self.base + _total(self.gain.take(idx))
+        if self.num_forced:
+            value[self.forced.take(idx).sum(axis=0) < self.num_forced] = -np.inf
+        return value
+
+    def log_prior(self, bits: np.ndarray) -> float:
+        selected = np.flatnonzero(bits)
+        return float(self(selected[:, None])[0]) + self.cost * len(selected)
+
+
 class PosteriorContext:
     """Immutable per-series cache shared by every posterior evaluation.
 
     Holds Y'Y, F'F, F'Y plus the suffix sums of Y and of each design
     column; products against the step matrix then reduce to gathers.
+    With M atoms, index M stands for a padded atom and index M + 1 for
+    Y: ``_gram`` is [[F'F, 0, F'Y], [0, 0, 0], [Y'F, 0, Y'Y]] and row i
+    of ``_suffix`` holds the sums over rows i.. of [F, 0, Y], with a
+    zero row n for the sum past the end.
     """
 
     def __init__(self, series: TimeSeries, hyper: Hyperparameters,
@@ -168,11 +242,14 @@ class PosteriorContext:
         self.design = design
         self.n = n
         self.yty = float(y @ y)
-        self.suffix_y = np.cumsum(y[::-1])[::-1]
-        self._lp1_gamma = _log_or_neg_inf(hyper.pi)
-        self._lp0_gamma = _log_or_neg_inf(1.0 - hyper.pi)
+        self._q_min = max(Q_FLOOR * self.yty, np.nextafter(0.0, 1.0))
+        self._inverse = np.divide(1.0, np.arange(n + 1.0), out=np.zeros(n + 1),
+                                  where=np.arange(n + 1) > 0)
         self.shrink = hyper.c1 / (1.0 + hyper.c1)
         self.log1p_c1 = float(np.log1p(hyper.c1))
+        # the log prior with the -(d_g/2)·log(1+c1) term folded in
+        self._weight_gamma = _IndexPrior(hyper.pi, 0.5 * self.log1p_c1)
+        m = 0
         if mode == MODE_SP:
             if design is None:
                 raise ValidationError("sp mode requires a design matrix")
@@ -182,23 +259,53 @@ class PosteriorContext:
                 raise ValidationError("design rows must match series length")
             if len(hyper.eta) != design.num_atoms:
                 raise ValidationError("eta length must match atom count")
+            m = design.num_atoms
+            cache_bytes, memory = 8 * (m * m + n * m), _physical_memory()
+            if cache_bytes > memory:
+                raise ValidationError(
+                    f"F'F and the suffix sums of the {m} design columns need about "
+                    f"8·(M² + n·M) = {cache_bytes} bytes ({cache_bytes / 2**30:.3g} GiB), "
+                    f"more than this machine's {memory / 2**30:.3g} GiB of physical memory")
             F = design.matrix
-            self.num_atoms = design.num_atoms
-            self.ftf = F.T @ F
-            self.fty = F.T @ y
-            self.suffix_f = np.cumsum(F[::-1, :], axis=0)[::-1, :]
+            self._gram = np.zeros((m + 2, m + 2))
+            np.matmul(F.T, F, out=self._gram[:m, :m])
+            self._gram[:m, m + 1] = self._gram[m + 1, :m] = F.T @ y
+            self._gram[m + 1, m + 1] = self.yty
             self.log_c2 = float(np.log(hyper.c2))
             self.c2_inv = 1.0 / hyper.c2
-            self._lp1_r = _log_or_neg_inf(hyper.eta)
-            self._lp0_r = _log_or_neg_inf(1.0 - hyper.eta)
-        else:
-            self.num_atoms = 0
+            self._weight_r = _IndexPrior(hyper.eta, 0.5 * self.log_c2)
+            # Fr'Fr enters A scaled by 1 + 1/c2, padded atoms unscaled
+            self._scale = np.full(m + 2, 1.0 + self.c2_inv)
+            self._scale[m:] = 1.0
+        self.num_atoms = m
+        self._suffix = np.zeros((n + 1, m + 2))
+        if m:
+            np.cumsum(F[::-1, :], axis=0, out=self._suffix[n - 1::-1, :m])
+        np.cumsum(y[::-1], out=self._suffix[n - 1::-1, m + 1])
+
+    @property
+    def suffix_y(self) -> np.ndarray:
+        """suffix_y[i] = sum of y[i:]."""
+        return self._suffix[:self.n, self.num_atoms + 1]
+
+    @property
+    def suffix_f(self) -> np.ndarray:
+        """suffix_f[i, a] = sum of column a of F over rows i and later."""
+        return self._suffix[:self.n, :self.num_atoms]
+
+    @property
+    def ftf(self) -> np.ndarray:
+        return self._gram[:self.num_atoms, :self.num_atoms]
+
+    @property
+    def fty(self) -> np.ndarray:
+        return self._gram[:self.num_atoms, self.num_atoms + 1]
 
     def log_prior_gamma(self, gamma: np.ndarray) -> float:
-        return float(np.where(gamma, self._lp1_gamma, self._lp0_gamma).sum())
+        return self._weight_gamma.log_prior(gamma)
 
     def log_prior_r(self, r: np.ndarray) -> float:
-        return float(np.where(r, self._lp1_r, self._lp0_r).sum())
+        return self._weight_r.log_prior(r)
 
     def check_state(self, state: LatentState) -> None:
         if len(state.gamma) != self.n:
@@ -210,129 +317,114 @@ class PosteriorContext:
                 raise ValidationError("r length must match atom count")
 
 
-def _evaluate(ctx: PosteriorContext, gamma: np.ndarray, r: np.ndarray | None) -> float:
-    """Collapsed log density on raw bit arrays; no argument validation.
 
-    The Metropolis-Hastings inner loop calls this directly, so it stays
-    allocation-lean: tiny-matrix factorizations only, cached gathers for
-    every product against the step matrix.
+
+def _diagonal(mat: np.ndarray) -> np.ndarray:
+    """View of the diagonals of a C-contiguous (d, d, B) stack, (d, B)."""
+    return mat.reshape(-1, mat.shape[-1])[::len(mat) + 1]
+
+
+def _pivots(mat: np.ndarray) -> np.ndarray:
+    """Pivots of the LDL' elimination of each symmetric matrix
+    mat[:, :, b], eliminating in place in index order.
+
+    An identity row after the real ones is eliminated with zero
+    multipliers, so it changes no other pivot by a single bit.  A zero
+    or negative pivot leaves that matrix's later pivots meaningless
+    (NaN or inf), never another matrix's.
     """
-    gpos = np.flatnonzero(gamma) + 1
-    d_gamma = gpos.size
+    for j in range(len(mat) - 1):
+        col = mat[j + 1:, j] / mat[j, j]
+        mat[j + 1:, j + 1:] -= col[:, None] * mat[j, None, j + 1:]
+    return _diagonal(mat)
 
-    log_prior = ctx.log_prior_gamma(gamma)
-    if ctx.mode == MODE_SP:
-        log_prior += ctx.log_prior_r(r)
-    if log_prior == -np.inf:
-        return -np.inf
 
-    gram = (ctx.n + 1 - np.maximum.outer(gpos, gpos)).astype(float)
-    try:
-        chol_g = np.linalg.cholesky(gram)
-    except np.linalg.LinAlgError:
-        return -np.inf
-    xty = ctx.suffix_y[gpos - 1]
+def evaluate_stack(ctx: PosteriorContext, gidx: np.ndarray,
+                   ridx: np.ndarray | None = None,
+                   logdet_f: np.ndarray | None = None):
+    """Collapsed log densities of a stack of B models.
+
+    ``gidx`` (B, Dg) holds each model's selected step positions as
+    0-based ascending indices, padded at the end with n; ``ridx``
+    (B, Dr), in mode sp, its selected atoms padded with M.
+    ``logdet_f`` optionally gives log det Fr'Fr for rows whose atoms a
+    caller has factored before; NaN entries are computed here.
+
+    Returns the log densities and, in mode sp, log det Fr'Fr per row
+    (-inf where the atoms are linearly dependent).  No argument
+    validation: the sampler calls this in its inner loop.  Internally
+    the model index is the last axis, so every array operation runs
+    along the stack.
+    """
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return _evaluate_stack(ctx, gidx, ridx, logdet_f)
+
+
+def _with_row(idx: np.ndarray, value: int) -> np.ndarray:
+    """idx transposed to (d, B), with one more row of ``value``."""
+    out = np.empty((idx.shape[1] + 1, len(idx)), dtype=idx.dtype)
+    out[:-1] = idx.T
+    out[-1] = value
+    return out
+
+
+def _evaluate_stack(ctx, gidx, ridx, logdet_f):
+    n, m = ctx.n, ctx.num_atoms
+    rows = len(gidx)
+    width = m + 2
+    bounds = _with_row(gidx, n)
+    lo = bounds[:-1]
+    inv_len = ctx._inverse.take(bounds[1:] - lo)
+    weight = ctx._weight_gamma(lo)
+    table = ctx._suffix.ravel()
 
     if ctx.mode == MODE_P:
-        z = cho_solve((chol_g, True), xty, check_finite=False)
-        q = ctx.yty - ctx.shrink * float(xty @ z)
-        if q <= 0.0 or q < Q_FLOOR * ctx.yty:
-            return -np.inf
-        return (-0.5 * d_gamma * ctx.log1p_c1 + log_prior
-                - 0.5 * ctx.n * np.log(0.5 * q))
+        ends = table.take(bounds * width + (m + 1))
+        seg_y = ends[:-1] - ends[1:]
+        q = ctx.yty - ctx.shrink * _total(seg_y * seg_y * inv_len)
+        value = weight - 0.5 * n * np.log(0.5 * q)
+        return np.where(q >= ctx._q_min, value, -np.inf), None
 
-    r_idx = np.flatnonzero(r)
-    d_r = r_idx.size
-    frfr = ctx.ftf[r_idx[:, None], r_idx]
-    try:
-        chol_f = np.linalg.cholesky(frfr)
-    except np.linalg.LinAlgError:
-        return -np.inf
+    # columns: the selected atoms, then Y
+    cols = _with_row(ridx, m + 1)
+    dr = len(cols) - 1
+    weight += ctx._weight_r(cols[:-1])
 
-    xtf = ctx.suffix_f[gpos - 1][:, r_idx]
-    rhs = np.concatenate([xty[:, None], xtf], axis=1)
-    sol = cho_solve((chol_g, True), rhs, check_finite=False)
-    z, w = sol[:, 0], sol[:, 1:]
+    # segment sums S of the columns; the sum over segments of S S'/L is
+    # [[W, u], [u', y'Py]] with W = Fr'Xg(Xg'Xg)^{-1}Xg'Fr
+    ends = table.take(bounds[:, None] * width + cols)
+    seg = ends[:-1] - ends[1:]
+    weighted = seg * inv_len[:, None]
+    proj = seg[0, :, None] * weighted[0]
+    for k in range(1, len(seg)):
+        proj += seg[k, :, None] * weighted[k]
 
-    y_uinv_y = ctx.yty - ctx.shrink * float(xty @ z)
-    a_mat = (1.0 + ctx.c2_inv) * frfr - ctx.shrink * (xtf.T @ w)
-    try:
-        chol_a = np.linalg.cholesky(a_mat)
-    except np.linalg.LinAlgError:
-        return -np.inf
-    v = ctx.fty[r_idx] - ctx.shrink * (xtf.T @ z)
-    q = y_uinv_y - float(v @ cho_solve((chol_a, True), v, check_finite=False))
-    if q <= 0.0 or q < Q_FLOOR * ctx.yty:
-        return -np.inf
+    # [[Fr'Fr, Fr'Y], [Y'Fr, Y'Y]], identity on padded atoms; the
+    # bordered [[A, v], [v', Y'Uinv Y]] then has q as its last pivot
+    gram = ctx._gram.ravel().take(cols[:, None] * width + cols)
+    _diagonal(gram)[:dr][cols[:-1] == m] = 1.0
+    logdet_f = np.full(rows, np.nan) if logdet_f is None else np.array(logdet_f, dtype=float)
+    fresh = np.isnan(logdet_f)
+    stack = np.empty((dr + 1, dr + 1, rows + np.count_nonzero(fresh)))
+    mat = stack[:, :, :rows]
+    mat[...] = gram
+    mat[:dr, :dr] *= ctx._scale.take(cols[:-1])[:, None]
+    mat -= ctx.shrink * proj
+    stack[:, :, rows:] = gram.compress(fresh, axis=2)
+    diagonal = _diagonal(stack)[:dr].copy()
 
-    logdet_f = 2.0 * float(np.log(chol_f.diagonal()).sum())
-    logdet_a = 2.0 * float(np.log(chol_a.diagonal()).sum())
-    return (-0.5 * d_gamma * ctx.log1p_c1 + log_prior
-            + 0.5 * logdet_f - 0.5 * d_r * ctx.log_c2 - 0.5 * logdet_a
-            - 0.5 * ctx.n * np.log(0.5 * q))
+    pivots = _pivots(stack)[:dr]
+    logdet = _total(np.log(pivots))
+    regular = np.logical_and.reduce(pivots > PIVOT_FLOOR * diagonal, axis=0)
+    logdet_f[fresh] = np.where(regular[rows:], logdet[rows:], -np.inf)
+    q = stack[dr, dr, :rows]
+    value = (weight + 0.5 * logdet_f - 0.5 * logdet[:rows] - 0.5 * n * np.log(0.5 * q))
+    ok = regular[:rows] & (logdet_f > -np.inf) & (q >= ctx._q_min)
+    return np.where(ok, value, -np.inf), logdet_f
 
 
 def log_integrated_posterior(state: LatentState, ctx: PosteriorContext) -> float:
-    """Optimized collapsed log-posterior (no n x n matrices formed)."""
+    """Collapsed log-posterior of one state: a stack of one."""
     ctx.check_state(state)
-    return _evaluate(ctx, state.gamma, state.r)
-
-
-MAX_DENSE_N = 512
-
-
-def log_integrated_posterior_dense(state: LatentState, ctx: PosteriorContext) -> float:
-    """Reference evaluation via the explicit n x n projection matrix.
-
-    Same value as the optimized path, shared constant included.  Guarded
-    to small n so it is never hit with production-size inputs.
-    """
-    if ctx.n > MAX_DENSE_N:
-        raise ValidationError(f"dense evaluation limited to n <= {MAX_DENSE_N}")
-    ctx.check_state(state)
-    gpos = state.positions()
-    d_gamma = gpos.size
-
-    log_prior = ctx.log_prior_gamma(state.gamma)
-    if ctx.mode == MODE_SP:
-        log_prior += ctx.log_prior_r(state.r)
-    if log_prior == -np.inf:
-        return -np.inf
-
-    n = ctx.n
-    y = ctx.series.values
-    x_full = np.tril(np.ones((n, n)))
-    x_g = x_full[:, gpos - 1]
-    u_inv = np.eye(n) - ctx.shrink * x_g @ np.linalg.solve(x_g.T @ x_g, x_g.T)
-    y_uinv_y = float(y @ u_inv @ y)
-
-    if ctx.mode == MODE_P:
-        q = y_uinv_y
-        if q <= 0.0 or q < Q_FLOOR * ctx.yty:
-            return -np.inf
-        return (-0.5 * d_gamma * ctx.log1p_c1 + log_prior
-                - 0.5 * n * np.log(0.5 * q))
-
-    r_idx = np.flatnonzero(state.r)
-    d_r = r_idx.size
-    f_r = ctx.design.matrix[:, r_idx]
-    frfr = f_r.T @ f_r
-    try:
-        chol_f = np.linalg.cholesky(frfr)
-    except np.linalg.LinAlgError:
-        return -np.inf
-    a_mat = f_r.T @ (u_inv + np.eye(n) * ctx.c2_inv) @ f_r
-    try:
-        chol_a = np.linalg.cholesky(a_mat)
-    except np.linalg.LinAlgError:
-        return -np.inf
-    v = f_r.T @ (u_inv @ y)
-    q = y_uinv_y - float(v @ cho_solve((chol_a, True), v))
-    if q <= 0.0 or q < Q_FLOOR * ctx.yty:
-        return -np.inf
-
-    logdet_f = 2.0 * float(np.log(np.diag(chol_f)).sum())
-    logdet_a = 2.0 * float(np.log(np.diag(chol_a)).sum())
-    return (-0.5 * d_gamma * ctx.log1p_c1 + log_prior
-            + 0.5 * logdet_f - 0.5 * d_r * ctx.log_c2 - 0.5 * logdet_a
-            - 0.5 * n * np.log(0.5 * q))
+    ridx = np.flatnonzero(state.r)[None] if ctx.mode == MODE_SP else None
+    return float(evaluate_stack(ctx, np.flatnonzero(state.gamma)[None], ridx)[0][0])

@@ -1,13 +1,17 @@
 """Independent reference computations used to pin expected values.
 
 These deliberately avoid the package's optimized algebra: the step
-matrix is materialized densely, and the collapsed density is obtained
-by closed-form Gaussian marginalization of the coefficients followed
-by literal numerical quadrature over the noise variance on the log
-scale.  The coefficient stage's closed form is pinned by the joint
-normal equations on the explicit design and by a chain over the full
-conditionals.  Nothing here shares code with the paths under test
-beyond the prior helper and the conditionals themselves.
+matrix is materialized densely, the collapsed density is computed
+through the explicit n x n projection (the dense evaluator) or by
+closed-form Gaussian marginalization of the coefficients followed by
+literal numerical quadrature over the noise variance on the log scale.
+The coefficient stage's closed form is pinned by the joint normal
+equations on the explicit design and by a chain over the full
+conditionals.  The block Metropolis-Hastings kernel is pinned by the
+sequential chain it replaces, which scores one proposal at a time.
+Nothing here shares code with the paths under test beyond the prior
+helper, the conditionals, the initial-state draw and the proposal
+draw themselves.
 """
 
 from __future__ import annotations
@@ -16,9 +20,21 @@ import math
 
 import numpy as np
 from scipy.integrate import quad
-from scipy.linalg import block_diag
+from scipy.linalg import block_diag, cho_solve
 
-from dictseg import MODE_SP, LatentState, PosteriorContext, log_prior_inclusion
+from dictseg import (
+    MODE_SP,
+    LatentState,
+    MHTrace,
+    PosteriorContext,
+    ValidationError,
+    log_integrated_posterior,
+    log_prior_inclusion,
+)
+from dictseg.mh import TARGET_GAMMA, TARGET_R, _draw_flip_indices, _sample_initial
+from dictseg.posterior import Q_FLOOR
+
+MAX_DENSE_N = 512
 
 
 def dense_step_matrix(n: int) -> np.ndarray:
@@ -28,6 +44,68 @@ def dense_step_matrix(n: int) -> np.ndarray:
 def dense_step_gram(positions, n: int) -> np.ndarray:
     x = dense_step_matrix(n)[:, np.asarray(positions, dtype=int) - 1]
     return x.T @ x
+
+
+def log_integrated_posterior_dense(state: LatentState, ctx: PosteriorContext) -> float:
+    """Reference evaluation via the explicit n x n projection matrix.
+
+    Same value as the package's evaluator, shared constant included;
+    -inf when the selected atoms are linearly dependent.  Guarded to
+    small n.
+    """
+    if ctx.n > MAX_DENSE_N:
+        raise ValidationError(f"dense evaluation limited to n <= {MAX_DENSE_N}")
+    ctx.check_state(state)
+    gpos = state.positions()
+    d_gamma = gpos.size
+
+    log_prior = log_prior_inclusion(state.gamma, ctx.hyper.pi)
+    if ctx.mode == MODE_SP:
+        log_prior += log_prior_inclusion(state.r, ctx.hyper.eta)
+    if log_prior == -np.inf:
+        return -np.inf
+
+    n = ctx.n
+    y = ctx.series.values
+    x_g = dense_step_matrix(n)[:, gpos - 1]
+    u_inv = np.eye(n) - ctx.shrink * x_g @ np.linalg.solve(x_g.T @ x_g, x_g.T)
+    y_uinv_y = float(y @ u_inv @ y)
+
+    if ctx.mode != MODE_SP:
+        q = y_uinv_y
+        if q <= 0.0 or q < Q_FLOOR * ctx.yty:
+            return -np.inf
+        return (-0.5 * d_gamma * ctx.log1p_c1 + log_prior
+                - 0.5 * n * np.log(0.5 * q))
+
+    r_idx = np.flatnonzero(state.r)
+    d_r = r_idx.size
+    f_r = ctx.design.matrix[:, r_idx]
+    # linearly dependent atoms make Fr'Fr and A singular; the rank comes
+    # from the singular values of Fr itself, not from a Cholesky pivot
+    # of the Gram matrix that rounding may leave just above zero
+    if np.linalg.matrix_rank(f_r) < d_r:
+        return -np.inf
+    frfr = f_r.T @ f_r
+    try:
+        chol_f = np.linalg.cholesky(frfr)
+    except np.linalg.LinAlgError:
+        return -np.inf
+    a_mat = f_r.T @ (u_inv + np.eye(n) * ctx.c2_inv) @ f_r
+    try:
+        chol_a = np.linalg.cholesky(a_mat)
+    except np.linalg.LinAlgError:
+        return -np.inf
+    v = f_r.T @ (u_inv @ y)
+    q = y_uinv_y - float(v @ cho_solve((chol_a, True), v))
+    if q <= 0.0 or q < Q_FLOOR * ctx.yty:
+        return -np.inf
+
+    logdet_f = 2.0 * float(np.log(np.diag(chol_f)).sum())
+    logdet_a = 2.0 * float(np.log(np.diag(chol_a)).sum())
+    return (-0.5 * d_gamma * ctx.log1p_c1 + log_prior
+            + 0.5 * logdet_f - 0.5 * d_r * ctx.log_c2 - 0.5 * logdet_a
+            - 0.5 * n * np.log(0.5 * q))
 
 
 def log_posterior_quadrature(state: LatentState, ctx: PosteriorContext,
@@ -127,3 +205,73 @@ def batch_means_mcse(draws: np.ndarray) -> np.ndarray:
     size = len(draws) // batches
     means = draws[:size * batches].reshape(batches, size, -1).mean(axis=1)
     return means.std(axis=0, ddof=1) / np.sqrt(batches)
+
+
+def sequential_chain(ctx: PosteriorContext, config, rng: np.random.Generator | None = None,
+                     snapshot_every: int = 1000):
+    """The Metropolis-Hastings chain one proposal at a time.
+
+    Per iteration: the coin (mode sp), the flip indices, one
+    ``log_integrated_posterior`` call, and the accept uniform only when
+    the log-density change is finite and negative.  Returns the trace
+    and the (gamma, r) counts of proposals with density -inf.
+    """
+    if rng is None:
+        rng = np.random.default_rng(config.seed)
+    sp = ctx.mode == MODE_SP
+    for _ in range(100):
+        state = _sample_initial(ctx, config, rng)
+        log_post = log_integrated_posterior(state, ctx)
+        if log_post > -np.inf:
+            break
+    gamma = state.gamma.copy()
+    r = state.r.copy() if sp else None
+    initial_gamma, initial_r, initial_log_density = gamma.copy(), state.r, log_post
+
+    total = config.total_iterations
+    which = np.zeros(total, dtype=np.uint8)
+    accepted = np.zeros(total, dtype=bool)
+    log_density = np.empty(total)
+    flip_offsets = np.zeros(total + 1, dtype=np.int64)
+    flip_chunks, snapshots_gamma = [], []
+    snapshots_r = [] if sp else None
+    neg_inf = [0, 0]
+    for t in range(total):
+        use_gamma = not sp or rng.random() < 0.5
+        if use_gamma:
+            target, vec, count = TARGET_GAMMA, gamma, config.flip_gamma
+        else:
+            target, vec, count = TARGET_R, r, config.flip_r
+        idx = _draw_flip_indices(rng, len(vec), count)
+        vec[idx] = ~vec[idx]
+        log_post_new = log_integrated_posterior(LatentState(gamma=gamma, r=r), ctx)
+        delta = log_post_new - log_post
+        neg_inf[target] += delta == -np.inf
+        accept = delta >= 0 or (delta > -np.inf and math.log(rng.random()) < delta)
+        which[t] = target
+        if accept:
+            accepted[t] = True
+            log_post = log_post_new
+            flip_chunks.append(np.sort(idx).astype(np.int32))
+            flip_offsets[t + 1] = flip_offsets[t] + idx.size
+        else:
+            vec[idx] = ~vec[idx]
+            flip_offsets[t + 1] = flip_offsets[t]
+        log_density[t] = log_post
+        if snapshot_every and (t + 1) % snapshot_every == 0:
+            snapshots_gamma.append(gamma.copy())
+            if sp:
+                snapshots_r.append(r.copy())
+
+    flip_indices = (np.concatenate(flip_chunks) if flip_chunks
+                    else np.empty(0, dtype=np.int32))
+    trace = MHTrace(
+        n=ctx.n, num_atoms=ctx.num_atoms, mode=ctx.mode,
+        initial_gamma=initial_gamma, initial_r=initial_r,
+        initial_log_density=initial_log_density,
+        which=which, accepted=accepted, log_density=log_density,
+        flip_offsets=flip_offsets, flip_indices=flip_indices,
+        snapshot_every=snapshot_every,
+        snapshots_gamma=snapshots_gamma, snapshots_r=snapshots_r,
+    )
+    return trace, tuple(neg_inf)

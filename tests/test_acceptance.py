@@ -36,7 +36,6 @@ from dictseg import (
     evaluate_dictionary,
     inclusion_probabilities,
     log_integrated_posterior,
-    log_integrated_posterior_dense,
     make_series,
     propose_flip,
     run_benchmark,
@@ -46,7 +45,7 @@ from dictseg import (
 )
 from dictseg.config import derive_seeds
 from conftest import make_state, random_instance, small_context
-from oracles import log_posterior_quadrature
+from oracles import log_integrated_posterior_dense, log_posterior_quadrature
 
 N = 100
 POINT_DESIGN = evaluate_dictionary(simulation_dictionary(N, family="point100"),

@@ -3,6 +3,7 @@ import csv
 import numpy as np
 import pytest
 
+from dictseg import mh
 from dictseg import (
     MODE_P,
     MODE_SP,
@@ -24,6 +25,7 @@ from dictseg import (
     select_median_probability_model,
 )
 from conftest import make_state, small_context
+from oracles import sequential_chain
 
 
 class FixedChoiceRNG:
@@ -256,3 +258,91 @@ class TestTraceExport:
         expected = trace.changed_indices(t) + 1
         got = [int(v) for v in changed.split(";")] if changed else []
         assert got == expected.tolist()
+
+
+def chain_context(mode, duplicate=False):
+    """n = 40: two change-points, a sine and a peak; in mode sp a
+    dictionary of 6 atoms, or 7 with the sine twice."""
+    rng = np.random.default_rng(31)
+    n = 40
+    t = np.arange(1.0, n + 1.0)
+    values = (np.where(t > 12, 1.5, 0.0) - np.where(t > 27, 2.0, 0.0)
+              + 0.6 * np.sin(2 * np.pi * t / 10) + np.where(t == 20, 2.0, 0.0)
+              + rng.normal(0.0, 0.4, n))
+    series = TimeSeries(values=values)
+    if mode == MODE_P:
+        return PosteriorContext(series, Hyperparameters.flat(n, None, pi=0.05), None, MODE_P)
+    atoms = [Atom("constant"), Atom("sine", {"frequency": 0.1}),
+             Atom("cosine", {"frequency": 0.1}), Atom("point_indicator", {"location": 20.0}),
+             Atom("poly", {"degree": 1}), Atom("sine", {"frequency": 0.23})]
+    if duplicate:
+        atoms.insert(2, Atom("sine", {"frequency": 0.1}))
+    design = evaluate_dictionary(Dictionary(atoms=tuple(atoms)), series.covariate)
+    hyper = Hyperparameters.flat(n, len(atoms), pi=0.05, eta=0.3)
+    return PosteriorContext(series, hyper, design, MODE_SP)
+
+
+def assert_same_chain(trace, reference):
+    for field in ("which", "accepted", "flip_offsets", "flip_indices",
+                  "initial_gamma", "initial_r"):
+        got, want = getattr(trace, field), getattr(reference, field)
+        assert (got is None) == (want is None), field
+        if want is not None:
+            np.testing.assert_array_equal(got, want, err_msg=field)
+    np.testing.assert_allclose(trace.log_density, reference.log_density, rtol=1e-12, atol=0)
+    assert trace.initial_log_density == pytest.approx(reference.initial_log_density, rel=1e-12)
+    np.testing.assert_array_equal(trace.snapshots_gamma, reference.snapshots_gamma)
+    if reference.snapshots_r is not None:
+        np.testing.assert_array_equal(trace.snapshots_r, reference.snapshots_r)
+
+
+CHAIN_CASES = [
+    # (mode, flip count, duplicated atom)
+    (MODE_SP, 1, False),
+    (MODE_SP, 2, False),
+    (MODE_P, 1, False),
+    (MODE_P, 2, False),
+    (MODE_SP, 1, True),
+    (MODE_SP, 2, True),
+]
+
+
+class TestBlockKernel:
+    @pytest.mark.parametrize("mode,flips,duplicate", CHAIN_CASES)
+    def test_same_chain_as_sequential_kernel(self, mode, flips, duplicate):
+        ctx = chain_context(mode, duplicate)
+        config = MHConfig(total_iterations=3000, burn_in=500, flip_gamma=flips,
+                          flip_r=flips, init_segments=3, init_functions=3, seed=17,
+                          mode=mode)
+        trace = run_metropolis_hastings(ctx, config, snapshot_every=400)
+        reference, neg_inf = sequential_chain(ctx, config, snapshot_every=400)
+        assert_same_chain(trace, reference)
+        assert trace.neg_inf == neg_inf
+        assert 0 < trace.accepted.mean() < 0.5
+        assert trace.evaluator_calls < len(trace) <= trace.candidates_evaluated
+
+    def test_duplicated_atom_proposals_are_rejected_at_minus_inf(self):
+        # with a duplicated atom, every proposal selecting both copies has
+        # density -inf; the kernel counts them as the reference does
+        ctx = chain_context(MODE_SP, duplicate=True)
+        config = MHConfig(total_iterations=3000, burn_in=500, flip_gamma=1, flip_r=1,
+                          init_segments=3, init_functions=2, seed=4, mode=MODE_SP)
+        trace = run_metropolis_hastings(ctx, config)
+        _, neg_inf = sequential_chain(ctx, config)
+        assert trace.neg_inf == neg_inf
+        assert trace.neg_inf[0] == 0 and trace.neg_inf[1] > 0
+        for _, _, r in trace.iter_states(0):
+            assert not (r[1] and r[2])
+
+    @pytest.mark.parametrize("cap", [1, 5])
+    def test_block_length_does_not_change_the_chain(self, monkeypatch, cap):
+        ctx = chain_context(MODE_SP, duplicate=True)
+        config = MHConfig(total_iterations=1500, burn_in=500, flip_gamma=2, flip_r=2,
+                          init_segments=3, init_functions=3, seed=8, mode=MODE_SP)
+        default = run_metropolis_hastings(ctx, config)
+        monkeypatch.setattr(mh, "MAX_BLOCK", cap)
+        capped = run_metropolis_hastings(ctx, config)
+        assert_same_chain(capped, default)
+        np.testing.assert_array_equal(capped.log_density, default.log_density)
+        assert capped.neg_inf == default.neg_inf
+        assert capped.evaluator_calls > default.evaluator_calls

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dictseg import posterior
 from dictseg import (
     MODE_P,
     MODE_SP,
@@ -15,11 +16,10 @@ from dictseg import (
     ValidationError,
     evaluate_dictionary,
     log_integrated_posterior,
-    log_integrated_posterior_dense,
     log_prior_inclusion,
 )
 from conftest import make_state, random_instance, small_context
-from oracles import log_posterior_quadrature
+from oracles import log_integrated_posterior_dense, log_posterior_quadrature
 
 
 class TestLogPriorInclusion:
@@ -192,6 +192,30 @@ class TestDegenerateStates:
         state = make_state([1], n, [1, 2, 3], 3)
         assert log_integrated_posterior(state, ctx) == -np.inf
 
+    def test_linearly_dependent_atoms_are_rejected(self):
+        # when one selected atom is a multiple or a sum of others, the
+        # elimination pivot is rounding noise of either sign; the relative
+        # floor rejects every such model
+        rng = np.random.default_rng(3)
+        n = 20
+        for _ in range(60):
+            series = TimeSeries(values=rng.normal(size=n))
+            f1, f2 = rng.uniform(0.02, 0.45, 2)
+            scale = float(rng.uniform(0.5, 3.0))
+            if rng.random() < 0.5:
+                extra = Atom("custom", fn=lambda x, f=f1, c=scale: c * np.sin(2 * np.pi * f * x))
+            else:
+                extra = Atom("custom", fn=lambda x, f=f1, g=f2: (np.sin(2 * np.pi * f * x)
+                                                                + np.cos(2 * np.pi * g * x)))
+            atoms = (Atom("constant"), Atom("sine", {"frequency": float(f1)}),
+                     Atom("cosine", {"frequency": float(f2)}), extra)
+            design = evaluate_dictionary(Dictionary(atoms=atoms), series.covariate)
+            hyper = Hyperparameters.flat(n, len(atoms), pi=0.1, eta=0.2)
+            ctx = PosteriorContext(series, hyper, design, MODE_SP)
+            state = make_state([1, int(rng.integers(2, n + 1))], n, [1, 2, 3, 4], 4)
+            assert log_integrated_posterior(state, ctx) == -np.inf
+            assert log_integrated_posterior_dense(state, ctx) == -np.inf
+
     def test_prior_zero_state_is_rejected(self, rng):
         n = 8
         series = TimeSeries(values=rng.normal(size=n))
@@ -200,6 +224,17 @@ class TestDegenerateStates:
         hyper = Hyperparameters(c1=50.0, pi=pi)
         ctx = PosteriorContext(series, hyper, None, MODE_P)
         assert log_integrated_posterior(make_state([1, 5], n), ctx) == -np.inf
+
+    def test_forced_bit_left_clear_is_rejected(self, rng):
+        n = 8
+        series = TimeSeries(values=rng.normal(size=n))
+        pi = np.r_[1.0, np.full(n - 1, 0.1)]
+        pi[4] = 1.0
+        ctx = PosteriorContext(series, Hyperparameters(c1=50.0, pi=pi), None, MODE_P)
+        assert log_integrated_posterior(make_state([1, 3], n), ctx) == -np.inf
+        with_bit = make_state([1, 3, 5], n)
+        assert log_integrated_posterior(with_bit, ctx) == pytest.approx(
+            log_integrated_posterior_dense(with_bit, ctx), abs=1e-8)
 
 
 class TestContextCaches:
@@ -220,3 +255,108 @@ class TestContextCaches:
             ctx.check_state(make_state([1], 12))  # missing atom part in sp mode
         with pytest.raises(ValidationError):
             PosteriorContext(ctx.series, ctx.hyper, None, MODE_SP)
+
+
+def stack_context(mode):
+    """n = 30 with seven atoms, the second repeated as the seventh."""
+    rng = np.random.default_rng(8)
+    n = 30
+    series = TimeSeries(values=rng.normal(size=n) + np.where(np.arange(n) > 14, 1.5, 0.0))
+    if mode == MODE_P:
+        return PosteriorContext(series, Hyperparameters.flat(n, None, pi=0.1), None, MODE_P)
+    atoms = (Atom("constant"), Atom("sine", {"frequency": 0.1}),
+             Atom("cosine", {"frequency": 0.1}), Atom("point_indicator", {"location": 12.0}),
+             Atom("poly", {"degree": 1}), Atom("sine", {"frequency": 0.23}),
+             Atom("sine", {"frequency": 0.1}))
+    design = evaluate_dictionary(Dictionary(atoms=atoms), series.covariate)
+    hyper = Hyperparameters.flat(n, len(atoms), c1=20.0, c2=30.0, pi=0.1, eta=0.2)
+    return PosteriorContext(series, hyper, design, MODE_SP)
+
+
+# (positions, atoms) of gamma and r neighbours of one state, of sizes
+# 1 to 11 and 1 to 5; the last pair selects the repeated atom twice
+STACK_MODELS = [
+    ([1, 8, 20], [1, 2, 4]),
+    ([1, 8], [1, 2, 4]),
+    ([1, 8, 20, 25, 29], [1, 2, 4]),
+    ([1, 5, 9, 14, 22, 27], [1, 2, 4]),
+    ([1, 3, 5, 8, 11, 14, 17, 20, 23, 26, 29], [1, 2, 4]),
+    ([1], [1, 2, 4]),
+    ([1, 8, 20], [1]),
+    ([1, 8, 20], [1, 2, 3, 4, 6]),
+    ([1, 8, 20], [1, 4, 5]),
+    ([1, 8, 20], [1, 2, 4, 7]),
+]
+
+
+def padded(rows, pad):
+    out = np.full((len(rows), max(len(r) for r in rows)), pad)
+    for i, r in enumerate(rows):
+        out[i, :len(r)] = np.asarray(r) - 1
+    return out
+
+
+class TestStackedEvaluator:
+    @pytest.mark.parametrize("mode", [MODE_SP, MODE_P])
+    def test_mixed_stack_matches_dense_oracle(self, mode):
+        ctx = stack_context(mode)
+        n, m = ctx.n, ctx.num_atoms
+        gidx = padded([g for g, _ in STACK_MODELS], n)
+        ridx = padded([a for _, a in STACK_MODELS], m) if mode == MODE_SP else None
+        values, _ = posterior.evaluate_stack(ctx, gidx, ridx)
+        finite = 0
+        for (g, a), value in zip(STACK_MODELS, values):
+            state = make_state(g, n, a, m) if mode == MODE_SP else make_state(g, n)
+            dense = log_integrated_posterior_dense(state, ctx)
+            if dense == -np.inf:
+                assert value == -np.inf
+                continue
+            finite += 1
+            assert value == pytest.approx(dense, abs=1e-8)
+        assert finite == len(STACK_MODELS) - (mode == MODE_SP)
+
+    @pytest.mark.parametrize("mode", [MODE_SP, MODE_P])
+    def test_padding_and_stacking_change_no_bit(self, mode):
+        # a model's value is the same alone, padded, or anywhere in a stack
+        ctx = stack_context(mode)
+        n, m = ctx.n, ctx.num_atoms
+        gidx = padded([g for g, _ in STACK_MODELS], n)
+        ridx = padded([a for _, a in STACK_MODELS], m) if mode == MODE_SP else None
+        values, logdets = posterior.evaluate_stack(ctx, gidx, ridx)
+        for i, (g, a) in enumerate(STACK_MODELS):
+            alone = posterior.evaluate_stack(
+                ctx, padded([g], n), padded([a], m) if mode == MODE_SP else None)[0]
+            assert alone[0] == values[i] or (alone[0] == -np.inf and values[i] == -np.inf)
+        flipped = posterior.evaluate_stack(
+            ctx, gidx[::-1], ridx[::-1] if ridx is not None else None)[0]
+        np.testing.assert_array_equal(flipped[::-1], values)
+        if mode == MODE_SP:
+            # known log det Fr'Fr is used as given
+            again, same = posterior.evaluate_stack(ctx, gidx, ridx, logdets)
+            np.testing.assert_array_equal(again, values)
+            np.testing.assert_array_equal(same, logdets)
+            assert logdets[-1] == -np.inf
+
+    def test_singular_member_does_not_touch_the_others(self):
+        ctx = stack_context(MODE_SP)
+        n, m = ctx.n, ctx.num_atoms
+        gidx = padded([[1, 8], [1, 8], [1, 8]], n)
+        ridx = padded([[1, 2], [1, 2, 7], [1, 3]], m)
+        values, _ = posterior.evaluate_stack(ctx, gidx, ridx)
+        assert values[1] == -np.inf
+        for i in (0, 2):
+            alone = posterior.evaluate_stack(ctx, gidx[i:i + 1], ridx[i:i + 1])[0]
+            assert alone[0] == values[i] > -np.inf
+
+
+class TestMemoryGuard:
+    def test_estimate_above_physical_memory_is_rejected(self, monkeypatch):
+        monkeypatch.setattr(posterior, "_physical_memory", lambda: 100)
+        with pytest.raises(ValidationError, match=str(8 * (3 * 3 + 12 * 3))):
+            small_context()
+        # mode p builds neither cache
+        small_context(mode=MODE_P)
+
+    def test_estimate_within_physical_memory_builds(self, monkeypatch):
+        monkeypatch.setattr(posterior, "_physical_memory", lambda: 8 * (3 * 3 + 12 * 3))
+        assert small_context().ftf.shape == (3, 3)
