@@ -268,13 +268,13 @@ def build_dictionary(spec, **kwargs) -> Dictionary:
     return Dictionary(atoms=atoms, name=kwargs.get("name", "custom"))
 
 
-def load_design_matrix(path, delimiter: str = ",") -> DesignMatrix:
-    """Read a custom design from delimited text: header row of atom
+def load_design_matrix(path) -> DesignMatrix:
+    """Read a custom design from CSV: header row of atom
     labels, then n rows by M columns.  The first column is forced to
     ones after checking it is constant."""
     try:
         with open(path, newline="") as fh:
-            rows = list(csv.reader(fh, delimiter=delimiter))
+            rows = list(csv.reader(fh))
     except OSError as exc:
         raise DataError(f"cannot read dictionary file {path}: {exc}") from exc
     if len(rows) < 2:

@@ -16,12 +16,10 @@ from .posterior import MODE_SP, Hyperparameters, LatentState
 from .stepmodel import TimeSeries
 
 
-def load_series(path, fmt: str = "csv") -> TimeSeries:
-    """Read a series from delimited text: one row per time, either a
-    single value column or (label, value).  A header row is skipped if
-    its value field is not numeric."""
-    if fmt != "csv":
-        raise ValidationError(f"unsupported series format {fmt!r}")
+def load_series(path) -> TimeSeries:
+    """Read a series from CSV: one row per time, either a single value
+    column or (label, value).  A header row is skipped if its value
+    field is not numeric."""
     try:
         with open(path, newline="") as fh:
             rows = [r for r in csv.reader(fh)]
@@ -120,7 +118,7 @@ def apply_event_priors(base: Hyperparameters, events: EventPriorFile,
 
 
 def write_results(fit: FitResult, trace: MHTrace, series: TimeSeries,
-                  out_dir, atom_labels=None, extra: dict | None = None) -> dict[str, Path]:
+                  out_dir, atom_labels=None) -> dict[str, Path]:
     """Write the inclusion table, the reconstruction table and a JSON
     summary; returns the created paths.  Re-running with identical
     inputs produces byte-identical files."""
@@ -193,8 +191,6 @@ def write_results(fit: FitResult, trace: MHTrace, series: TimeSeries,
             summary["f_hat"] = [float(v) for v in fit.f_hat]
             if trace is not None:
                 summary["acceptance"]["r"] = trace.acceptance_rate("r")
-        if extra:
-            summary.update(extra)
         with open(paths["summary"], "w") as fh:
             json.dump(summary, fh, indent=2, sort_keys=True)
             fh.write("\n")

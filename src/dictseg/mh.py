@@ -29,13 +29,15 @@ which ends or re-scores a block), at most MAX_BLOCK: one call costs
 about as much as a hundred extra candidates, so a block should
 usually outlast the run to the next event.
 
-Traces do not store full states per iteration.  They record, per
+A trace is the initial state plus the log of accepted flips: per
 iteration, the proposal target, the acceptance flag, the log density
-of the resulting state and the indices that actually changed, plus a
-full snapshot every ``snapshot_every`` iterations; states are
-reconstructed exactly by replaying the deltas.  They also count the
--inf proposals per target, the ``evaluate_stack`` calls and the
-candidates those calls scored.
+of the resulting state and the indices that changed.  The state after
+any iteration, the inclusion counts and joint occupancies are computed
+from the flips of each vector in one pass of array operations: a bit's
+state is its initial value XOR the parity of its flips so far, and a
+flip sets its bit when its rank among that bit's flips says the bit
+was clear.  Traces also count the -inf proposals per target, the
+``evaluate_stack`` calls and the candidates those calls scored.
 """
 
 from __future__ import annotations
@@ -136,12 +138,11 @@ def propose_flip(state: LatentState, which: str, count: int,
 
 
 class MHTrace:
-    """Delta-compressed record of one chain."""
+    """Initial state plus the log of accepted flips of one chain."""
 
     def __init__(self, n, num_atoms, mode, initial_gamma, initial_r,
                  initial_log_density, which, accepted, log_density,
-                 flip_offsets, flip_indices, snapshot_every,
-                 snapshots_gamma, snapshots_r, neg_inf=(0, 0),
+                 flip_offsets, flip_indices, neg_inf=(0, 0),
                  evaluator_calls=0, candidates_evaluated=0):
         self.n = n
         self.num_atoms = num_atoms
@@ -154,9 +155,6 @@ class MHTrace:
         self.log_density = log_density
         self.flip_offsets = flip_offsets
         self.flip_indices = flip_indices
-        self.snapshot_every = snapshot_every
-        self.snapshots_gamma = snapshots_gamma
-        self.snapshots_r = snapshots_r
         # (gamma, r) counts of proposals with density -inf, and the work
         # of the block kernel; neither enters the exported files
         self.neg_inf = tuple(neg_inf)
@@ -170,38 +168,52 @@ class MHTrace:
         """0-based indices (within the target vector) flipped at iteration t."""
         return self.flip_indices[self.flip_offsets[t]:self.flip_offsets[t + 1]]
 
-    def _replay(self, gamma, r, start, stop):
-        for t in range(start, stop):
-            idx = self.changed_indices(t)
-            if idx.size:
-                if self.which[t] == TARGET_GAMMA:
-                    gamma[idx] = ~gamma[idx]
-                else:
-                    r[idx] = ~r[idx]
-        return gamma, r
+    def _target(self, name: str) -> int:
+        """TARGET_GAMMA or TARGET_R for the name 'gamma' or 'r'."""
+        if name == "gamma":
+            return TARGET_GAMMA
+        if name != "r":
+            raise ValidationError(f"target must be 'gamma' or 'r', got {name!r}")
+        if self.initial_r is None:
+            raise ValidationError("trace has no atom component")
+        return TARGET_R
+
+    def _toggles(self, target: int, start: int):
+        """One vector's bits after iteration ``start`` and its later flips.
+
+        Returns (bits, times, idx, on): the flips after ``start`` in
+        iteration order, with ``on`` True where a flip sets its bit.  A
+        flip of rank k among its bit's flips finds the bit at its state
+        after ``start`` if k is even and flipped if k is odd.
+        """
+        times = np.repeat(np.arange(len(self)), np.diff(self.flip_offsets))
+        mine = self.which[times] == target
+        times, idx = times[mine], self.flip_indices[mine]
+        initial = self.initial_gamma if target == TARGET_GAMMA else self.initial_r
+        split = np.searchsorted(times, start, side="right")
+        bits = initial ^ (np.bincount(idx[:split], minlength=len(initial)) % 2 == 1)
+        times, idx = times[split:], idx[split:]
+        order = np.argsort(idx, kind="stable")
+        rank = np.empty(len(idx), dtype=np.int64)
+        rank[order] = np.arange(len(idx)) - np.searchsorted(idx[order], idx[order])
+        return bits, times, idx, bits[idx] == (rank % 2 == 1)
+
+    def _check_burn_in(self, burn_in: int) -> None:
+        if not 0 <= burn_in < len(self):
+            raise ValidationError("burn-in leaves no post-burn-in iterations")
 
     def state_at(self, t: int) -> LatentState:
         """State after iteration t (t = -1 gives the initial state)."""
         if not -1 <= t < len(self):
             raise ValidationError(f"iteration {t} out of range")
-        snap = (t + 1) // self.snapshot_every - 1 if self.snapshot_every else -1
-        if snap >= 0 and snap < len(self.snapshots_gamma):
-            base = self.snapshot_every * (snap + 1) - 1
-            gamma = self.snapshots_gamma[snap].copy()
-            r = self.snapshots_r[snap].copy() if self.snapshots_r is not None else None
-        else:
-            base = -1
-            gamma = self.initial_gamma.copy()
-            r = self.initial_r.copy() if self.initial_r is not None else None
-        gamma, r = self._replay(gamma, r, base + 1, t + 1)
-        return LatentState(gamma=gamma, r=r)
+        r = self._toggles(TARGET_R, t)[0] if self.initial_r is not None else None
+        return LatentState(gamma=self._toggles(TARGET_GAMMA, t)[0], r=r)
 
     def iter_states(self, start: int = 0):
         """Yield (t, gamma, r) for t = start..end; arrays are live views,
         copy them if kept."""
         state = self.state_at(start)
-        gamma = state.gamma.copy()
-        r = state.r.copy() if state.r is not None else None
+        gamma, r = state.gamma, state.r
         yield start, gamma, r
         for t in range(start + 1, len(self)):
             idx = self.changed_indices(t)
@@ -212,75 +224,39 @@ class MHTrace:
                     r[idx] = ~r[idx]
             yield t, gamma, r
 
-    def _occupancy_counts(self, burn_in: int, target: int, length: int) -> np.ndarray:
+    def _set_counts(self, target: int, burn_in: int) -> np.ndarray:
         """Number of iterations in [burn_in, T) with each bit set."""
+        self._check_burn_in(burn_in)
         total = len(self)
-        if not 0 <= burn_in < total:
-            raise ValidationError("burn-in leaves no post-burn-in iterations")
-        state = self.state_at(burn_in)
-        bits = state.gamma if target == TARGET_GAMMA else state.r
-        bits = bits.copy()
-        counts = np.zeros(length, dtype=np.int64)
-        active_from = np.where(bits, burn_in, 0).astype(np.int64)
-        for t in range(burn_in + 1, total):
-            if self.which[t] != target:
-                continue
-            idx = self.changed_indices(t)
-            for i in idx:
-                if bits[i]:
-                    counts[i] += t - active_from[i]
-                    bits[i] = False
-                else:
-                    bits[i] = True
-                    active_from[i] = t
-        on = np.flatnonzero(bits)
-        counts[on] += total - active_from[on]
+        bits, times, idx, on = self._toggles(target, burn_in)
+        counts = np.where(bits, total - burn_in, 0)
+        # a flip at t sets (clears) its bit for the T - t iterations from t on
+        np.add.at(counts, idx, np.where(on, total - times, times - total))
         return counts
-
-    def inclusion_counts(self, burn_in: int):
-        gamma_counts = self._occupancy_counts(burn_in, TARGET_GAMMA, self.n)
-        r_counts = None
-        if self.initial_r is not None:
-            r_counts = self._occupancy_counts(burn_in, TARGET_R, self.num_atoms)
-        return gamma_counts, r_counts
 
     def occupancy_any(self, indices, target: str = "gamma", burn_in: int = 0) -> float:
         """Fraction of post-burn-in iterations where any of the given
         1-based indices is set (joint occupancy, not a sum of marginals)."""
-        tgt = TARGET_GAMMA if target == "gamma" else TARGET_R
-        idx = np.asarray(indices, dtype=np.int64) - 1
-        total = len(self)
-        state = self.state_at(burn_in)
-        bits = (state.gamma if tgt == TARGET_GAMMA else state.r).copy()
-        tracked = set(int(i) for i in idx)
-        num_on = int(bits[idx].sum())
-        hits = 0
-        since = burn_in
-        for t in range(burn_in + 1, total):
-            if self.which[t] != tgt:
-                continue
-            changed = [i for i in self.changed_indices(t) if int(i) in tracked]
-            if not changed:
-                continue
-            if num_on > 0:
-                hits += t - since
-            since = t
-            for i in changed:
-                num_on += -1 if bits[i] else 1
-                bits[i] = ~bits[i]
-        if num_on > 0:
-            hits += total - since
-        return hits / (total - burn_in)
+        tgt = self._target(target)
+        self._check_burn_in(burn_in)
+        tracked = np.unique(np.asarray(indices, dtype=np.int64) - 1)
+        bits, times, idx, on = self._toggles(tgt, burn_in)
+        if tracked.size and not 0 <= tracked[0] <= tracked[-1] < len(bits):
+            raise ValidationError(f"indices must lie in [1, {len(bits)}]")
+        mine = np.isin(idx, tracked)
+        # tracked bits set from burn-in and from each tracked flip to the
+        # next; flips in one iteration leave intervals of length 0 between them
+        num_on = np.cumsum(np.r_[bits[tracked].sum(), np.where(on[mine], 1, -1)])
+        spans = np.diff(np.r_[burn_in, times[mine], len(self)])
+        return float(spans[num_on > 0].sum() / (len(self) - burn_in))
 
-    def acceptance_rate(self, target: str | None = None, start: int = 0) -> float:
-        mask = np.ones(len(self), dtype=bool)
-        mask[:start] = False
+    def acceptance_rate(self, target: str | None = None) -> float:
+        accepted = self.accepted
         if target is not None:
-            tgt = TARGET_GAMMA if target == "gamma" else TARGET_R
-            mask &= self.which == tgt
-        if not mask.any():
+            accepted = accepted[self.which == self._target(target)]
+        if not accepted.size:
             return float("nan")
-        return float(self.accepted[mask].mean())
+        return float(accepted.mean())
 
     def acceptance_by_block(self, block: int = 1000) -> np.ndarray:
         """Acceptance fraction per block of iterations."""
@@ -339,8 +315,7 @@ def _score(ctx: PosteriorContext, gidx, ridx, logdet_f, on_gamma, flips_g, flips
 
 
 def run_metropolis_hastings(ctx: PosteriorContext, config: MHConfig,
-                            rng: np.random.Generator | None = None,
-                            snapshot_every: int = 1000) -> MHTrace:
+                            rng: np.random.Generator | None = None) -> MHTrace:
     """Run one chain; deterministic given (ctx, config, seed)."""
     if config.mode != ctx.mode:
         raise ValidationError(f"config mode {config.mode!r} does not match context {ctx.mode!r}")
@@ -368,10 +343,6 @@ def run_metropolis_hastings(ctx: PosteriorContext, config: MHConfig,
             break
     logdet_f = float(logdets[0]) if sp else None
 
-    gamma = state.gamma.copy()
-    r = state.r.copy() if state.r is not None else None
-    initial_gamma = gamma.copy()
-    initial_r = r.copy() if r is not None else None
     initial_log_density = log_post
 
     total = config.total_iterations
@@ -380,8 +351,6 @@ def run_metropolis_hastings(ctx: PosteriorContext, config: MHConfig,
     log_density = np.empty(total)
     flip_offsets = np.zeros(total + 1, dtype=np.int64)
     flip_chunks: list[np.ndarray] = []
-    snapshots_gamma: list[np.ndarray] = []
-    snapshots_r: list[np.ndarray] | None = [] if r is not None else None
     neg_inf = [0, 0]
     events = calls = scored = 0
 
@@ -422,10 +391,8 @@ def run_metropolis_hastings(ctx: PosteriorContext, config: MHConfig,
             if accept:
                 idx = flips_g[j] if target == TARGET_GAMMA else flips_r[j]
                 if target == TARGET_GAMMA:
-                    gamma[idx] = ~gamma[idx]
                     gidx = g_stack[k][g_stack[k] < n]
                 else:
-                    r[idx] = ~r[idx]
                     ridx = r_stack[k][r_stack[k] < m]
                     logdet_f = logdets[k]
                 log_post = values[k]
@@ -437,10 +404,6 @@ def run_metropolis_hastings(ctx: PosteriorContext, config: MHConfig,
             events += accept or block_ends
             log_density[t] = log_post
             t += 1
-            if snapshot_every and t % snapshot_every == 0:
-                snapshots_gamma.append(gamma.copy())
-                if snapshots_r is not None:
-                    snapshots_r.append(r.copy())
             if block_ends:
                 break
             if accept and j + 1 < size:
@@ -455,26 +418,22 @@ def run_metropolis_hastings(ctx: PosteriorContext, config: MHConfig,
                     if flip_chunks else np.empty(0, dtype=np.int32))
     return MHTrace(
         n=n, num_atoms=m, mode=ctx.mode,
-        initial_gamma=initial_gamma, initial_r=initial_r,
+        initial_gamma=state.gamma, initial_r=state.r,
         initial_log_density=initial_log_density,
         which=which, accepted=accepted, log_density=log_density,
         flip_offsets=flip_offsets, flip_indices=flip_indices,
-        snapshot_every=snapshot_every,
-        snapshots_gamma=snapshots_gamma, snapshots_r=snapshots_r,
         neg_inf=neg_inf, evaluator_calls=calls, candidates_evaluated=scored,
     )
 
 
 def inclusion_probabilities(trace: MHTrace, burn_in: int) -> InclusionProbabilities:
     """Componentwise means of the post-burn-in inclusion bits."""
-    if burn_in >= len(trace):
-        raise ValidationError("burn-in leaves no post-burn-in iterations")
     m = len(trace) - burn_in
-    gamma_counts, r_counts = trace.inclusion_counts(burn_in)
-    return InclusionProbabilities(
-        gamma_prob=gamma_counts / m,
-        r_prob=r_counts / m if r_counts is not None else None,
-    )
+    gamma_prob = trace._set_counts(TARGET_GAMMA, burn_in) / m
+    r_prob = None
+    if trace.initial_r is not None:
+        r_prob = trace._set_counts(TARGET_R, burn_in) / m
+    return InclusionProbabilities(gamma_prob=gamma_prob, r_prob=r_prob)
 
 
 def select_median_probability_model(probs: InclusionProbabilities,

@@ -41,11 +41,10 @@ def build_context(series: TimeSeries, hyper: Hyperparameters,
 
 def fit_series(series: TimeSeries, hyper: Hyperparameters,
                mh_config: MHConfig, gibbs_config: GibbsConfig,
-               design: DesignMatrix | None = None,
-               threshold: float = 0.5) -> FitOutput:
+               design: DesignMatrix | None = None) -> FitOutput:
     ctx = build_context(series, hyper, design, mh_config.mode)
     trace = run_metropolis_hastings(ctx, mh_config)
     incl = inclusion_probabilities(trace, mh_config.burn_in)
-    selection = select_median_probability_model(incl, threshold=threshold)
+    selection = select_median_probability_model(incl)
     fit = run_gibbs(ctx, selection, gibbs_config, inclusion=incl)
     return FitOutput(fit=fit, mh_trace=trace, inclusion=incl, selection=selection)

@@ -192,7 +192,6 @@ class _IndexPrior:
     """
 
     def __init__(self, probs: np.ndarray, cost: float):
-        self.cost = cost
         forced = probs == 1.0
         with np.errstate(divide="ignore"):
             lp0 = np.log1p(-probs)
@@ -211,10 +210,6 @@ class _IndexPrior:
         if self.num_forced:
             value[self.forced.take(idx).sum(axis=0) < self.num_forced] = -np.inf
         return value
-
-    def log_prior(self, bits: np.ndarray) -> float:
-        selected = np.flatnonzero(bits)
-        return float(self(selected[:, None])[0]) + self.cost * len(selected)
 
 
 class PosteriorContext:
@@ -302,10 +297,10 @@ class PosteriorContext:
         return self._gram[:self.num_atoms, self.num_atoms + 1]
 
     def log_prior_gamma(self, gamma: np.ndarray) -> float:
-        return self._weight_gamma.log_prior(gamma)
+        return log_prior_inclusion(gamma, self.hyper.pi)
 
     def log_prior_r(self, r: np.ndarray) -> float:
-        return self._weight_r.log_prior(r)
+        return log_prior_inclusion(r, self.hyper.eta)
 
     def check_state(self, state: LatentState) -> None:
         if len(state.gamma) != self.n:

@@ -207,8 +207,7 @@ def batch_means_mcse(draws: np.ndarray) -> np.ndarray:
     return means.std(axis=0, ddof=1) / np.sqrt(batches)
 
 
-def sequential_chain(ctx: PosteriorContext, config, rng: np.random.Generator | None = None,
-                     snapshot_every: int = 1000):
+def sequential_chain(ctx: PosteriorContext, config, rng: np.random.Generator | None = None):
     """The Metropolis-Hastings chain one proposal at a time.
 
     Per iteration: the coin (mode sp), the flip indices, one
@@ -233,8 +232,7 @@ def sequential_chain(ctx: PosteriorContext, config, rng: np.random.Generator | N
     accepted = np.zeros(total, dtype=bool)
     log_density = np.empty(total)
     flip_offsets = np.zeros(total + 1, dtype=np.int64)
-    flip_chunks, snapshots_gamma = [], []
-    snapshots_r = [] if sp else None
+    flip_chunks = []
     neg_inf = [0, 0]
     for t in range(total):
         use_gamma = not sp or rng.random() < 0.5
@@ -258,10 +256,6 @@ def sequential_chain(ctx: PosteriorContext, config, rng: np.random.Generator | N
             vec[idx] = ~vec[idx]
             flip_offsets[t + 1] = flip_offsets[t]
         log_density[t] = log_post
-        if snapshot_every and (t + 1) % snapshot_every == 0:
-            snapshots_gamma.append(gamma.copy())
-            if sp:
-                snapshots_r.append(r.copy())
 
     flip_indices = (np.concatenate(flip_chunks) if flip_chunks
                     else np.empty(0, dtype=np.int32))
@@ -271,7 +265,5 @@ def sequential_chain(ctx: PosteriorContext, config, rng: np.random.Generator | N
         initial_log_density=initial_log_density,
         which=which, accepted=accepted, log_density=log_density,
         flip_offsets=flip_offsets, flip_indices=flip_indices,
-        snapshot_every=snapshot_every,
-        snapshots_gamma=snapshots_gamma, snapshots_r=snapshots_r,
     )
     return trace, tuple(neg_inf)

@@ -153,7 +153,7 @@ def test_criterion_3_sampler_exactness_on_enumerable_space():
     config = MHConfig(total_iterations=2_000_000, burn_in=500_000, flip_gamma=1,
                       flip_r=1, init_segments=2, init_functions=2, seed=77,
                       mode=MODE_SP)
-    trace = run_metropolis_hastings(ctx, config, snapshot_every=10_000)
+    trace = run_metropolis_hastings(ctx, config)
     m = len(trace) - config.burn_in
     state_ids = np.empty(m, dtype=np.int32)
     k = 0

@@ -93,7 +93,7 @@ def run_small_chain(seed=5, total=4000, burn_in=1000, **kw):
     config = MHConfig(total_iterations=total, burn_in=burn_in, flip_gamma=1,
                       flip_r=1, init_segments=2, init_functions=2, seed=seed,
                       mode=MODE_SP, **kw)
-    return ctx, config, run_metropolis_hastings(ctx, config, snapshot_every=500)
+    return ctx, config, run_metropolis_hastings(ctx, config)
 
 
 class TestRunChain:
@@ -210,6 +210,29 @@ class TestInclusionProbabilities:
         assert len(blocks) == 4
         assert overall == pytest.approx(trace.accepted.mean())
 
+    def test_unknown_target_is_rejected(self):
+        _, _, trace = run_small_chain(total=200, burn_in=50)
+        with pytest.raises(ValidationError):
+            trace.acceptance_rate("gama")
+        with pytest.raises(ValidationError):
+            trace.occupancy_any([2], "gama")
+
+    def test_occupancy_indices_out_of_range(self):
+        _, _, trace = run_small_chain(total=200, burn_in=50)
+        for indices in ([0], [2, 13]):
+            with pytest.raises(ValidationError):
+                trace.occupancy_any(indices)
+
+    def test_atom_target_needs_atoms(self):
+        ctx = small_context(n=12, mode=MODE_P)
+        config = MHConfig(total_iterations=200, burn_in=50, flip_gamma=1,
+                          init_segments=2, seed=3, mode=MODE_P)
+        trace = run_metropolis_hastings(ctx, config)
+        with pytest.raises(ValidationError):
+            trace.acceptance_rate("r")
+        with pytest.raises(ValidationError):
+            trace.occupancy_any([2], "r")
+
 
 class TestModelSelection:
     def test_published_threshold_example(self):
@@ -291,9 +314,6 @@ def assert_same_chain(trace, reference):
             np.testing.assert_array_equal(got, want, err_msg=field)
     np.testing.assert_allclose(trace.log_density, reference.log_density, rtol=1e-12, atol=0)
     assert trace.initial_log_density == pytest.approx(reference.initial_log_density, rel=1e-12)
-    np.testing.assert_array_equal(trace.snapshots_gamma, reference.snapshots_gamma)
-    if reference.snapshots_r is not None:
-        np.testing.assert_array_equal(trace.snapshots_r, reference.snapshots_r)
 
 
 CHAIN_CASES = [
@@ -314,8 +334,8 @@ class TestBlockKernel:
         config = MHConfig(total_iterations=3000, burn_in=500, flip_gamma=flips,
                           flip_r=flips, init_segments=3, init_functions=3, seed=17,
                           mode=mode)
-        trace = run_metropolis_hastings(ctx, config, snapshot_every=400)
-        reference, neg_inf = sequential_chain(ctx, config, snapshot_every=400)
+        trace = run_metropolis_hastings(ctx, config)
+        reference, neg_inf = sequential_chain(ctx, config)
         assert_same_chain(trace, reference)
         assert trace.neg_inf == neg_inf
         assert 0 < trace.accepted.mean() < 0.5
@@ -346,3 +366,75 @@ class TestBlockKernel:
         np.testing.assert_array_equal(capped.log_density, default.log_density)
         assert capped.neg_inf == default.neg_inf
         assert capped.evaluator_calls > default.evaluator_calls
+
+
+def brute_force_states(trace):
+    """gamma and r after every iteration, flipping the bits of
+    ``changed_indices(t)`` one at a time from the initial state."""
+    gamma = trace.initial_gamma.copy()
+    r = None if trace.initial_r is None else trace.initial_r.copy()
+    gammas, rs = [], []
+    for t in range(len(trace)):
+        bits = gamma if trace.which[t] == mh.TARGET_GAMMA else r
+        for i in trace.changed_indices(t):
+            bits[i] = not bits[i]
+        gammas.append(gamma.copy())
+        rs.append(None if r is None else r.copy())
+    return np.array(gammas), None if r is None else np.array(rs)
+
+
+class TestReplay:
+    """state_at, inclusion_probabilities and occupancy_any against a
+    brute-force replay of the flip log, with 2-bit flips."""
+
+    @pytest.fixture(scope="class", params=[MODE_SP, MODE_P])
+    def chain(self, request):
+        ctx = chain_context(request.param)
+        config = MHConfig(total_iterations=3000, burn_in=500, flip_gamma=2, flip_r=2,
+                          init_segments=3, init_functions=3, seed=23, mode=request.param)
+        trace = run_metropolis_hastings(ctx, config)
+        return trace, brute_force_states(trace)
+
+    def test_state_at(self, chain):
+        trace, (gammas, rs) = chain
+        initial = trace.state_at(-1)
+        np.testing.assert_array_equal(initial.gamma, trace.initial_gamma)
+        if rs is None:
+            assert initial.r is None
+        else:
+            np.testing.assert_array_equal(initial.r, trace.initial_r)
+        for t in list(range(0, len(trace), 7)) + [len(trace) - 1]:
+            state = trace.state_at(t)
+            np.testing.assert_array_equal(state.gamma, gammas[t], err_msg=str(t))
+            if rs is None:
+                assert state.r is None
+            else:
+                np.testing.assert_array_equal(state.r, rs[t], err_msg=str(t))
+
+    @pytest.mark.parametrize("burn_in", [0, 500, 2999])
+    def test_inclusion_probabilities(self, chain, burn_in):
+        trace, (gammas, rs) = chain
+        incl = inclusion_probabilities(trace, burn_in)
+        m = len(trace) - burn_in
+        np.testing.assert_array_equal(incl.gamma_prob, gammas[burn_in:].sum(axis=0) / m)
+        if rs is None:
+            assert incl.r_prob is None
+        else:
+            np.testing.assert_array_equal(incl.r_prob, rs[burn_in:].sum(axis=0) / m)
+
+    @pytest.mark.parametrize("burn_in", [0, 500, 2999])
+    def test_occupancy_any(self, chain, burn_in):
+        trace, states = chain
+        for target, bits in zip(("gamma", "r"), states):
+            if bits is None:
+                continue
+            code = mh.TARGET_GAMMA if target == "gamma" else mh.TARGET_R
+            # pairs flipped together by an accepted move, one bit often
+            # set as the other is cleared, and the union of two of them
+            pairs = [tuple(trace.changed_indices(t) + 1)
+                     for t in np.flatnonzero(trace.accepted & (trace.which == code))]
+            assert len(pairs) >= 2
+            tracked_sets = [list(p) for p in pairs[:8]] + [list(pairs[0] + pairs[-1])]
+            for tracked in tracked_sets:
+                want = bits[burn_in:, np.array(tracked) - 1].any(axis=1).mean()
+                assert trace.occupancy_any(tracked, target, burn_in) == want, tracked
