@@ -61,14 +61,6 @@ from .posterior import (
     log_prior_inclusion,
 )
 from .simulate import SeriesTruth, disturbance, make_series, simulate_series, true_atom_indices
-from .stepmodel import (
-    Segmentation,
-    SparseStepVector,
-    TimeSeries,
-    apply_step,
-    beta_to_segmentation,
-    segmentation_to_beta,
-    step_gram,
-)
+from .stepmodel import Segmentation, TimeSeries, apply_step, step_gram
 
 __version__ = "0.1.0"

@@ -3,28 +3,37 @@
 With the inclusion vectors fixed, the block g-priors on the step
 coefficients beta and the atom coefficients lambda and the 1/sigma2
 noise prior are Normal-Inverse-Gamma conjugate (Zellner's g-prior).
-Write theta = (beta, lambda), G = Xg'Xg, H = Fr'Fr, s1 = c1/(1+c1),
-s2 = c2/(1+c2) and
+The posterior is computed from the segment sums that the model search
+evaluates (``posterior._segment_algebra``).  The step columns span the
+piecewise-constant paths, so the fit is written through the segment
+means mu, whose jumps are beta; the g-prior on beta is
+mu_k ~ N(0, sigma2·c1/L_k) over segments of length L_k.  With S_y,k and
+S_F,k the sums of Y and of Fr over segment k, s1 = c1/(1+c1), and the
+search's
 
-    P = [[ G/s1,   Xg'Fr ],        b = ( Xg'Y, Fr'Y ),
-         [ Fr'Xg,  H/s2  ]],
+    A = (1 + 1/c2)·Fr'Fr - s1·sum_k S_F,k' S_F,k / L_k,
+    v = Fr'Y - s1·sum_k S_F,k' S_y,k / L_k,
+    q = Y'Y - s1·sum_k S_y,k² / L_k - v'A^{-1}v,
 
-then
+the posterior is
 
-    theta | sigma2, Y ~ N( P^{-1} b, sigma2·P^{-1} )
-    sigma2 | Y        ~ InvGamma( n/2, q/2 ),   q = Y'Y - b'P^{-1} b,
+    sigma2 | Y               ~ InvGamma( n/2, q/2 ),
+    lambda | sigma2, Y       ~ N( A^{-1}v, sigma2·A^{-1} ),
+    mu_k | lambda, sigma2, Y ~ N( s1·(S_y,k - S_F,k·lambda)/L_k, sigma2·s1/L_k ),
 
-so the posterior means need no sampling: E theta = P^{-1} b and
-E sigma = sqrt(q/2)·Γ((n-1)/2)/Γ(n/2).  InvGamma(a, s) has shape a and
-scale s, density proportional to x^{-a-1}·exp(-s/x).  Segmentation-only
-fits keep the G block alone.
+the segment means independent given lambda.  A is the Schur complement
+of the step block in the joint precision of (beta, lambda), which is
+never formed: only the d_r x d_r matrix A is factored, and the
+posterior means need no sampling, E sigma = sqrt(q/2)·Γ((n-1)/2)/Γ(n/2).
+InvGamma(a, s) has shape a and scale s, density proportional to
+x^{-a-1}·exp(-s/x).  Segmentation-only fits drop lambda and its terms.
 
 The first step column and the constant atom are both all-ones, so the
 fit is invariant under moving a constant offset between the segment
 means and the dictionary part.  Reported posterior-mean estimates
 resolve this by assigning the constant direction to the means: the
-constant atom keeps coefficient 0 and beta at position 1 absorbs it.
-The raw draws in the trace are left untouched.
+constant atom keeps coefficient 0 and the means absorb it.  The raw
+draws in the trace are left untouched.
 """
 
 from __future__ import annotations
@@ -38,14 +47,8 @@ from scipy.linalg import cho_solve, solve_triangular
 
 from .errors import ComputeError, ValidationError
 from .mh import InclusionProbabilities
-from .posterior import MODE_SP, LatentState, PosteriorContext
-from .stepmodel import (
-    Segmentation,
-    SparseStepVector,
-    apply_step,
-    beta_to_segmentation,
-    step_gram,
-)
+from .posterior import MODE_SP, LatentState, PosteriorContext, _eliminate, _segment_algebra
+from .stepmodel import Segmentation, apply_step, step_gram
 
 # Draws are made this many rows at a time, written into the trace's
 # arrays, so no full-size temporary is ever allocated.
@@ -103,16 +106,15 @@ class FitResult:
     inclusion: InclusionProbabilities | None = None
     trace: GibbsTrace | None = None
 
-    def beta_sparse(self) -> SparseStepVector:
-        entries = {p: v for p, v in zip(self.positions, self.beta_hat) if v != 0.0}
-        return SparseStepVector(entries=entries)
-
     def mean_path(self, n: int) -> np.ndarray:
         return self.segmentation_hat.mean_path(n)
 
 
 class GibbsSampler:
-    """Per-selection precomputation plus the three full conditionals.
+    """The three full conditionals of the coefficient posterior: only the
+    reference that the closed form of ``run_gibbs`` is checked against
+    (``run_gibbs`` does not use them).  It stays in the package because
+    the benchmark, ``perfbench/run.py``, imports it.
 
     With the other blocks fixed,
 
@@ -122,9 +124,8 @@ class GibbsSampler:
 
     where a = (n + d_g + d_r)/2 and b is the residual sum of squares plus
     the two g-prior penalties beta'G beta/c1 and lambda'H lambda/c2
-    (segmentation-only: no lambda, a = (n + d_g)/2).  ``run_gibbs`` uses
-    the cached blocks of the joint posterior; the conditionals are the
-    reference its closed form is checked against.
+    (segmentation-only: no lambda, a = (n + d_g)/2), with the explicit
+    step Gram G = Xg'Xg and H = Fr'Fr.
     """
 
     def __init__(self, ctx: PosteriorContext, selection: LatentState):
@@ -214,59 +215,78 @@ def run_gibbs(ctx: PosteriorContext, selection: LatentState, config: GibbsConfig
 
     With ``config.store_trace`` the result also carries
     ``config.total_iterations`` independent draws from the joint
-    posterior: sigma2 from its inverse gamma, then theta + sigma·L^{-T}·z
-    with P = L·L'.
+    posterior: sigma2 from its inverse gamma, then lambda, then the
+    segment means given lambda; the trace's beta holds their jumps.
+    Raises ComputeError when the selected atoms are linearly dependent,
+    by the pivot test that gives such a model density -inf in the search.
     """
-    sampler = GibbsSampler(ctx, selection)
+    ctx.check_state(selection)
     sp = ctx.mode == MODE_SP
-    d_g = sampler.d_gamma
-
+    n, s1 = ctx.n, ctx.shrink
+    positions = selection.positions()
+    d_g, d_r = positions.size, selection.d_r
+    gidx = positions[None] - 1
     if sp:
-        precision = np.block([[sampler.gram / sampler.s1, sampler.xtf],
-                              [sampler.xtf.T, sampler.frfr / sampler.s2]])
-        rhs = np.concatenate([sampler.xty, sampler.fty])
+        r_idx = np.flatnonzero(selection.r)
+        inv_len, seg, stack = _segment_algebra(ctx, gidx, r_idx[None], np.ones(1, dtype=bool))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            pivots, regular = _eliminate(stack, d_r)
+        if not regular[1]:
+            raise ComputeError("selected atoms are linearly dependent")
+        # A - (1/c2 + 1/(1+c1))·Fr'Fr = s1·(Fr'Fr - W) is positive
+        # semidefinite, so A is positive definite whenever Fr'Fr is.  Its
+        # elimination left D·L' (A = L·D·L') in the upper triangle: scaled
+        # by D^{-1/2} it is the upper Cholesky factor R, A = R'R, and the
+        # bordered column scaled alike is R'^{-1}v.
+        root = np.sqrt(pivots[:, 0])
+        chol = stack[:d_r, :d_r, 0] / root[:, None]
+        lam_raw = solve_triangular(chol, stack[:d_r, d_r, 0] / root)
+        q = float(stack[d_r, d_r, 0])
+        seg_f, seg_y, inv_len = seg[:, :d_r, 0], seg[:, d_r, 0], inv_len[:, 0]
+        mu = s1 * (seg_y - seg_f @ lam_raw) * inv_len
     else:
-        precision = sampler.gram / sampler.s1
-        rhs = sampler.xty
-    # G and H are positive definite (the sampler checks H), hence so is P.
-    chol = np.linalg.cholesky(precision)
-    theta = cho_solve((chol, True), rhs)
-    q = ctx.yty - float(rhs @ theta)
+        inv_len, seg_y, q = _segment_algebra(ctx, gidx)
+        inv_len, seg_y, q = inv_len[:, 0], seg_y[:, 0], float(q[0])
+        mu = s1 * seg_y * inv_len
     if q <= 0.0:
         raise ComputeError("inverse-gamma scale must be positive")
-    n = ctx.n
     sigma_hat = math.sqrt(0.5 * q) * math.exp(math.lgamma(0.5 * (n - 1)) - math.lgamma(0.5 * n))
 
-    beta_hat = theta[:d_g].copy()
+    beta_hat = np.diff(mu, prepend=0.0)
+    means = mu
     lambda_hat = f_hat = None
     if sp:
-        lambda_hat = theta[d_g:].copy()
+        lambda_hat = lam_raw.copy()
         beta_hat[0] += lambda_hat[0]
+        means = mu + lambda_hat[0]
         lambda_hat[0] = 0.0
-        f_hat = sampler.f_sel @ lambda_hat
+        f_hat = ctx.design.matrix[:, r_idx] @ lambda_hat
 
-    positions = tuple(int(p) for p in sampler.positions)
-    atoms = tuple(int(a) for a in sampler.atoms) if sp else None
-    beta_sparse = SparseStepVector(
-        entries={p: v for p, v in zip(positions, beta_hat) if v != 0.0})
-    segmentation = beta_to_segmentation(beta_sparse, n)
-
+    positions = tuple(int(p) for p in positions)
+    atoms = tuple(int(a) for a in r_idx + 1) if sp else None
     trace = None
     if config.store_trace:
         if rng is None:
             rng = np.random.default_rng(config.seed)
-        draws = _mapped_empty(config.total_iterations, theta.size)
+        draws = _mapped_empty(config.total_iterations, d_g + d_r)
         sigma2 = np.empty(config.total_iterations)
+        mu_scale = np.sqrt(s1 * inv_len)
         for start in range(0, config.total_iterations, DRAW_BLOCK):
             block = draws[start:start + DRAW_BLOCK]
             block_sigma2 = sigma2[start:start + DRAW_BLOCK]
             block_sigma2[:] = 1.0 / rng.gamma(shape=0.5 * n, scale=2.0 / q, size=len(block))
             rng.standard_normal(out=block)
-            # block.T is Fortran-ordered, so LAPACK can solve it in place
-            block[:] = solve_triangular(chol, block.T, lower=True, trans="T",
-                                        overwrite_b=True).T
             block *= np.sqrt(block_sigma2)[:, None]
-            block += theta
+            block_mu = block[:, :d_g]
+            block_mu *= mu_scale
+            if sp:
+                block_lam = block[:, d_g:]
+                block_lam[:] = solve_triangular(chol, block_lam.T).T
+                block_lam += lam_raw
+                block_mu += s1 * (seg_y - block_lam @ seg_f.T) * inv_len
+            else:
+                block_mu += mu
+            block_mu[:, 1:] = np.diff(block_mu, axis=1)
         trace = GibbsTrace(beta=draws[:, :d_g], lam=draws[:, d_g:] if sp else None,
                            sigma2=sigma2, positions=positions, atoms=atoms)
     return FitResult(
@@ -277,8 +297,8 @@ def run_gibbs(ctx: PosteriorContext, selection: LatentState, config: GibbsConfig
         lambda_hat=lambda_hat,
         sigma_hat=sigma_hat,
         f_hat=f_hat,
-        segmentation_hat=segmentation,
-        k_hat=len(beta_sparse.entries),
+        segmentation_hat=Segmentation(tuple(p - 1 for p in positions[1:]), means),
+        k_hat=d_g,
         inclusion=inclusion,
         trace=trace,
     )

@@ -22,6 +22,8 @@ factorization at all, and no n x n or n x d matrix is formed.
 
 One evaluator, ``evaluate_stack``, scores a whole stack of candidate
 models in one call; ``log_integrated_posterior`` is a stack of one.
+The coefficient stage reads A, v, q and the segment sums of the
+selected model from the same routine, ``_segment_algebra``.
 Candidates of different sizes share the stack through padding: padded
 positions are empty segments and padded atoms identity rows.  Every
 step is elementwise, a reduction of fixed length, or a running total
@@ -363,27 +365,35 @@ def _with_row(idx: np.ndarray, value: int) -> np.ndarray:
     return out
 
 
-def _evaluate_stack(ctx, gidx, ridx, logdet_f):
+def _segment_algebra(ctx, gidx, ridx=None, fresh=None):
+    """Segment sums and bordered matrices of a stack of B models.
+
+    ``gidx`` and ``ridx`` are as in ``evaluate_stack``.  Returns the
+    inverse segment lengths (Dg, B), the segment sums and the matrices
+    that the collapsed density and the coefficient posterior are
+    read from:
+
+    - mode p: the sums of Y (Dg, B) and Y'Uinv·Y (B,);
+    - mode sp: the sums of [Fr, Y] (Dg, Dr + 1, B) and a stack
+      (Dr + 1, Dr + 1, B + F) holding each model's bordered
+      [[A, v], [v', Y'Uinv·Y]], then [[Fr'Fr, Fr'Y], [Y'Fr, Y'Y]]
+      (identity on padded atoms) of the F models that the boolean
+      ``fresh`` marks.
+    """
     n, m = ctx.n, ctx.num_atoms
-    rows = len(gidx)
     width = m + 2
     bounds = _with_row(gidx, n)
-    lo = bounds[:-1]
-    inv_len = ctx._inverse.take(bounds[1:] - lo)
-    weight = ctx._weight_gamma(lo)
+    inv_len = ctx._inverse.take(bounds[1:] - bounds[:-1])
     table = ctx._suffix.ravel()
 
     if ctx.mode == MODE_P:
         ends = table.take(bounds * width + (m + 1))
         seg_y = ends[:-1] - ends[1:]
-        q = ctx.yty - ctx.shrink * _total(seg_y * seg_y * inv_len)
-        value = weight - 0.5 * n * np.log(0.5 * q)
-        return np.where(q >= ctx._q_min, value, -np.inf), None
+        return inv_len, seg_y, ctx.yty - ctx.shrink * _total(seg_y * seg_y * inv_len)
 
     # columns: the selected atoms, then Y
     cols = _with_row(ridx, m + 1)
     dr = len(cols) - 1
-    weight += ctx._weight_r(cols[:-1])
 
     # segment sums S of the columns; the sum over segments of S S'/L is
     # [[W, u], [u', y'Py]] with W = Fr'Xg(Xg'Xg)^{-1}Xg'Fr
@@ -398,19 +408,42 @@ def _evaluate_stack(ctx, gidx, ridx, logdet_f):
     # bordered [[A, v], [v', Y'Uinv Y]] then has q as its last pivot
     gram = ctx._gram.ravel().take(cols[:, None] * width + cols)
     _diagonal(gram)[:dr][cols[:-1] == m] = 1.0
-    logdet_f = np.full(rows, np.nan) if logdet_f is None else np.array(logdet_f, dtype=float)
-    fresh = np.isnan(logdet_f)
+    rows = len(gidx)
     stack = np.empty((dr + 1, dr + 1, rows + np.count_nonzero(fresh)))
     mat = stack[:, :, :rows]
     mat[...] = gram
     mat[:dr, :dr] *= ctx._scale.take(cols[:-1])[:, None]
     mat -= ctx.shrink * proj
     stack[:, :, rows:] = gram.compress(fresh, axis=2)
-    diagonal = _diagonal(stack)[:dr].copy()
+    return inv_len, seg, stack
 
+
+def _eliminate(stack: np.ndarray, dr: int):
+    """Pivots (dr, B) of the first dr rows of each matrix in ``stack``,
+    eliminated in place, and whether each matrix is regular: every one
+    of those pivots above PIVOT_FLOOR times its column's diagonal."""
+    diagonal = _diagonal(stack)[:dr].copy()
     pivots = _pivots(stack)[:dr]
+    return pivots, np.logical_and.reduce(pivots > PIVOT_FLOOR * diagonal, axis=0)
+
+
+def _evaluate_stack(ctx, gidx, ridx, logdet_f):
+    n = ctx.n
+    rows = len(gidx)
+    weight = ctx._weight_gamma(gidx.T)
+
+    if ctx.mode == MODE_P:
+        q = _segment_algebra(ctx, gidx)[2]
+        value = weight - 0.5 * n * np.log(0.5 * q)
+        return np.where(q >= ctx._q_min, value, -np.inf), None
+
+    dr = ridx.shape[1]
+    weight += ctx._weight_r(ridx.T)
+    logdet_f = np.full(rows, np.nan) if logdet_f is None else np.array(logdet_f, dtype=float)
+    fresh = np.isnan(logdet_f)
+    stack = _segment_algebra(ctx, gidx, ridx, fresh)[2]
+    pivots, regular = _eliminate(stack, dr)
     logdet = _total(np.log(pivots))
-    regular = np.logical_and.reduce(pivots > PIVOT_FLOOR * diagonal, axis=0)
     logdet_f[fresh] = np.where(regular[rows:], logdet[rows:], -np.inf)
     q = stack[dr, dr, :rows]
     value = (weight + 0.5 * logdet_f - 0.5 * logdet[:rows] - 0.5 * n * np.log(0.5 * q))

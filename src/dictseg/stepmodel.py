@@ -1,17 +1,18 @@
 """Piecewise-constant signal parameterization.
 
-A segmentation with K segments is encoded as a sparse vector beta whose
-nonzero entries sit at the positions right after each change-point
-(1-based, position 1 always active when the vector is nonempty).  The
-step design matrix X is lower triangular with ones on and below the
-diagonal, so X @ beta is the piecewise-constant mean path.  X is never
-materialized: products with it reduce to cumulative/suffix sums and its
-Gram matrix has the closed form G[a, b] = n + 1 - max(p_a, p_b).
+A segmentation with K segments is given by its step positions, the
+1-based positions right after each change-point plus position 1, and
+by its segment means; the step coefficients beta are the jumps between
+consecutive means.  The step design matrix X is lower triangular with
+ones on and below the diagonal, so X @ beta is the piecewise-constant
+mean path.  X is never materialized: products with it reduce to
+cumulative/suffix sums and its Gram matrix has the closed form
+G[a, b] = n + 1 - max(p_a, p_b).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -65,8 +66,7 @@ class Segmentation:
     """Change-points tau_1 < ... < tau_{K-1} in (0, n) plus segment means.
 
     Conventions tau_0 = 0 and tau_K = n; segment k covers times
-    (tau_{k-1}, tau_k].  Stored means may repeat; a segmentation built
-    from a sparse step vector never has equal consecutive means.
+    (tau_{k-1}, tau_k].  Consecutive means may be equal.
     """
 
     change_points: tuple[int, ...]
@@ -99,67 +99,6 @@ class Segmentation:
         for mu, lo, hi in zip(self.means, bounds, bounds[1:]):
             out[lo:hi] = mu
         return out
-
-
-@dataclass(frozen=True)
-class SparseStepVector:
-    """Sparse beta: map 1-based position -> nonzero jump value.
-
-    Position 1 must be present whenever the vector is nonempty (the
-    first segment mean is itself a jump from the baseline 0).
-    """
-
-    entries: dict[int, float] = field(default_factory=dict)
-
-    def __post_init__(self):
-        entries = {int(p): float(v) for p, v in self.entries.items()}
-        for p, v in entries.items():
-            if p < 1:
-                raise ValidationError(f"position {p} out of range (must be >= 1)")
-            if v == 0.0:
-                raise ValidationError(f"stored value at position {p} must be nonzero")
-        if entries and 1 not in entries:
-            raise ValidationError("nonempty step vector must include position 1")
-        object.__setattr__(self, "entries", entries)
-
-    def positions(self) -> tuple[int, ...]:
-        return tuple(sorted(self.entries))
-
-    def values_in_order(self) -> np.ndarray:
-        return np.array([self.entries[p] for p in self.positions()])
-
-
-def beta_to_segmentation(beta: SparseStepVector, n: int) -> Segmentation:
-    """Decode beta into change-points and segment means.
-
-    Nonzero positions p_1 < ... < p_K give tau_{k-1} = p_k - 1 and
-    mu_k = sum of the first k jump values.
-    """
-    positions = beta.positions()
-    if not positions:
-        return Segmentation(change_points=(), means=(0.0,))
-    if positions[-1] > n:
-        raise ValidationError(f"position {positions[-1]} exceeds series length {n}")
-    means = tuple(np.cumsum(beta.values_in_order()))
-    change_points = tuple(p - 1 for p in positions[1:])
-    return Segmentation(change_points=change_points, means=means)
-
-
-def segmentation_to_beta(seg: Segmentation, n: int) -> SparseStepVector:
-    """Inverse of :func:`beta_to_segmentation` (exact round-trip)."""
-    if seg.change_points and seg.change_points[-1] >= n:
-        raise ValidationError("change-points exceed series length")
-    for a, b in zip(seg.means, seg.means[1:]):
-        if a == b:
-            raise ValidationError("consecutive means must differ to encode a jump")
-    entries: dict[int, float] = {}
-    prev = 0.0
-    for tau, mu in zip((0,) + seg.change_points, seg.means):
-        jump = mu - prev
-        if jump != 0.0:
-            entries[tau + 1] = jump
-        prev = mu
-    return SparseStepVector(entries=entries)
 
 
 def step_gram(positions, n: int) -> np.ndarray:

@@ -140,19 +140,12 @@ def log_posterior_quadrature(state: LatentState, ctx: PosteriorContext,
             + f_max + float(np.log(value)))
 
 
-def exact_coefficients_dense(ctx: PosteriorContext, state: LatentState):
-    """Posterior means (beta, lambda or None, E sigma) for a fixed model.
-
-    Builds X = [Xg | Fr] explicitly and solves the joint normal equations
-    (X'X + D) theta = X'Y with the g-prior penalty D = diag(G/c1, H/c2);
-    q is the penalized residual sum of squares at theta, and
-    E sigma = sqrt(q/2)·Γ((n-1)/2)/Γ(n/2).  Like the reported estimates,
-    beta at position 1 absorbs the constant atom's coefficient.
-    """
-    n = ctx.n
+def _dense_normal_equations(ctx: PosteriorContext, state: LatentState):
+    """X = [Xg | Fr] built explicitly, the g-prior penalty
+    D = diag(G/c1, H/c2), theta = (X'X + D)^{-1} X'Y and the penalized
+    residual sum of squares q at theta."""
     y = ctx.series.values
-    x = dense_step_matrix(n)[:, state.positions() - 1]
-    d_g = x.shape[1]
+    x = dense_step_matrix(ctx.n)[:, state.positions() - 1]
     blocks = [x.T @ x / ctx.hyper.c1]
     if ctx.mode == MODE_SP:
         f_r = ctx.design.matrix[:, np.flatnonzero(state.r)]
@@ -162,7 +155,20 @@ def exact_coefficients_dense(ctx: PosteriorContext, state: LatentState):
     theta = np.linalg.solve(x.T @ x + penalty, x.T @ y)
     resid = y - x @ theta
     q = float(resid @ resid + theta @ penalty @ theta)
+    return x, penalty, theta, q
+
+
+def exact_coefficients_dense(ctx: PosteriorContext, state: LatentState):
+    """Posterior means (beta, lambda or None, E sigma) for a fixed model.
+
+    Solves the joint normal equations on the explicit design;
+    E sigma = sqrt(q/2)·Γ((n-1)/2)/Γ(n/2).  Like the reported estimates,
+    beta at position 1 absorbs the constant atom's coefficient.
+    """
+    n = ctx.n
+    _, _, theta, q = _dense_normal_equations(ctx, state)
     sigma = math.sqrt(0.5 * q) * math.exp(math.lgamma(0.5 * (n - 1)) - math.lgamma(0.5 * n))
+    d_g = state.d_gamma
     beta = theta[:d_g].copy()
     if ctx.mode != MODE_SP:
         return beta, None, sigma
@@ -170,6 +176,15 @@ def exact_coefficients_dense(ctx: PosteriorContext, state: LatentState):
     beta[0] += lam[0]
     lam[0] = 0.0
     return beta, lam, sigma
+
+
+def exact_covariance_dense(ctx: PosteriorContext, state: LatentState) -> np.ndarray:
+    """Posterior covariance of the raw theta = (beta, lambda) for a fixed
+    model: theta is multivariate t with n degrees of freedom and scale
+    (q/n)·(X'X + D)^{-1}, so its covariance is E[sigma2]·(X'X + D)^{-1}
+    with E[sigma2] = q/(n - 2)."""
+    x, penalty, _, q = _dense_normal_equations(ctx, state)
+    return q / (ctx.n - 2) * np.linalg.inv(x.T @ x + penalty)
 
 
 def conditional_chain(sampler, total: int, rng: np.random.Generator):

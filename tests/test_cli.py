@@ -1,5 +1,6 @@
 import json
 
+import numpy as np
 import pytest
 
 from dictseg.cli import main
@@ -143,6 +144,25 @@ class TestFitAndMetrics:
         lines = (workspace / "draws" / "gibbs_draws.csv").read_text().splitlines()
         assert lines[0] == "iteration,beta@1,beta@20,beta@40,sigma2"
         assert len(lines) == 1 + 800
+
+    def test_gibbs_stage_rejects_dependent_atoms(self, workspace, capsys):
+        series = workspace / "series.csv"
+        main(["simulate", "--n", "60", "--sigma", "0.1", "--seed", "4",
+              "--out", str(series)])
+        # atom 5 of the design file is the sum of atoms 3 and 4
+        F = np.random.default_rng(2).normal(size=(60, 6))
+        F[:, 0] = 1.0
+        F[:, 4] = F[:, 2] + F[:, 3]
+        design = workspace / "design.csv"
+        design.write_text(",".join(f"a{j}" for j in range(6)) + "\n"
+                          + "".join(",".join(repr(float(v)) for v in row) + "\n" for row in F))
+        selection = workspace / "selection.json"
+        selection.write_text(json.dumps({"positions": [1, 20, 40], "atoms": [1, 3, 4, 5]}))
+        code = main(["fit", "--input", str(series), "--out-dir", str(workspace / "x"),
+                     "--mode", "sp", "--dictionary", f"file:{design}", "--stage", "gibbs",
+                     "--selection", str(selection), "--config", str(workspace / "fast.cfg")])
+        assert code == 2
+        assert "error (compute)" in capsys.readouterr().err
 
     def test_run_preset_with_application_preset_is_rejected(self, workspace, capsys):
         series = workspace / "series.csv"

@@ -5,6 +5,8 @@ from dictseg import (
     MODE_P,
     MODE_SP,
     Atom,
+    ComputeError,
+    DesignMatrix,
     Dictionary,
     GibbsConfig,
     GibbsSampler,
@@ -13,12 +15,18 @@ from dictseg import (
     PosteriorContext,
     TimeSeries,
     evaluate_dictionary,
+    log_integrated_posterior,
     make_series,
     run_gibbs,
     simulation_dictionary,
 )
 from conftest import make_state, small_context
-from oracles import batch_means_mcse, conditional_chain, exact_coefficients_dense
+from oracles import (
+    batch_means_mcse,
+    conditional_chain,
+    exact_coefficients_dense,
+    exact_covariance_dense,
+)
 
 
 def sampler_for(ctx, gamma_positions, atom_indices=None):
@@ -128,7 +136,7 @@ class TestRunGibbs:
         np.testing.assert_allclose(fit.f_hat, f_sel @ fit.lambda_hat, atol=1e-12)
         np.testing.assert_allclose(fit.mean_path(24),
                                    fit.segmentation_hat.mean_path(24), atol=1e-12)
-        assert fit.k_hat == len(fit.beta_sparse().entries)
+        assert fit.k_hat == len(fit.positions)
         assert fit.lambda_hat[0] == 0.0  # constant direction assigned to the means
         assert fit.trace.sigma2.shape == (2000,)
 
@@ -215,6 +223,25 @@ class TestRunGibbs:
         sampler = GibbsSampler(ctx, selection)
         assert sampler.a_shape == pytest.approx((24 + 2) / 2.0)
 
+    def test_dependent_atoms_raise_compute_error(self):
+        # atom 5 is the sum of atoms 3 and 4: the search gives every such
+        # selection density -inf, and the coefficient stage refuses it
+        rng = np.random.default_rng(0)
+        n, m = 60, 8
+        for _ in range(40):
+            F = rng.normal(size=(n, m))
+            F[:, 0] = 1.0
+            F[:, 4] = F[:, 2] + F[:, 3]
+            design = DesignMatrix(matrix=F, labels=tuple(f"a{j}" for j in range(m)))
+            ctx = PosteriorContext(TimeSeries(values=rng.normal(size=n)),
+                                   Hyperparameters.flat(n, m), design, MODE_SP)
+            extra = rng.choice(np.arange(6, m + 1), int(rng.integers(0, 3)), replace=False)
+            positions = np.append(1, rng.choice(np.arange(2, n + 1), 3, replace=False))
+            selection = make_state(positions, n, np.append([1, 3, 4, 5], extra), m)
+            assert log_integrated_posterior(selection, ctx) == -np.inf
+            with pytest.raises(ComputeError):
+                run_gibbs(ctx, selection, GibbsConfig(total_iterations=10, seed=1))
+
     def test_trace_export(self, tmp_path):
         ctx = small_context(n=24, seed=5)
         selection = make_state([1, 9], 24, [1, 3], 3)
@@ -299,6 +326,18 @@ class TestClosedForm:
         # the draws are independent, so the MCSE is the plain standard error
         mcse = draws.std(axis=0, ddof=1) / np.sqrt(len(draws))
         assert np.all(np.abs(draws.mean(axis=0) - exact) <= 3 * mcse)
+
+    @pytest.mark.parametrize("mode", [MODE_SP, MODE_P])
+    def test_iid_draws_match_dense_covariance(self, mode):
+        # c1 = c2 = 1 makes the shrinkage factors far from 1, so a wrong
+        # per-segment or per-atom variance shows in the spread
+        ctx = small_context(n=30, seed=1, mode=mode, c1=1.0, c2=1.0)
+        selection = small_instance(mode)[1]
+        trace = run_gibbs(ctx, selection, GibbsConfig(total_iterations=20000, seed=5)).trace
+        draws = np.hstack([trace.beta] + ([trace.lam] if mode == MODE_SP else []))
+        cov = exact_covariance_dense(ctx, selection)
+        sd = np.sqrt(np.diag(cov))
+        assert np.max(np.abs(np.cov(draws.T) - cov) / np.outer(sd, sd)) <= 0.05
 
     def test_no_trace_unless_asked(self):
         ctx, selection = small_instance(MODE_SP)

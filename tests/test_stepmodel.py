@@ -3,16 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dictseg import (
-    Segmentation,
-    SparseStepVector,
-    TimeSeries,
-    ValidationError,
-    apply_step,
-    beta_to_segmentation,
-    segmentation_to_beta,
-    step_gram,
-)
+from dictseg import Segmentation, TimeSeries, ValidationError, apply_step, step_gram
 from oracles import dense_step_gram, dense_step_matrix
 
 
@@ -35,64 +26,16 @@ class TestTimeSeries:
             TimeSeries(values=[1.0, 2.0], covariate=[2.0, 1.0])
 
 
-class TestBetaToSegmentation:
-    def test_cumulative_sums(self):
-        beta = SparseStepVector(entries={1: 2.0, 3: -2.0, 6: 3.0})
-        seg = beta_to_segmentation(beta, 6)
-        assert seg.change_points == (2, 5)
-        assert seg.means == (2.0, 0.0, 3.0)
-        assert seg.num_segments == 3
-
-    def test_single_segment(self):
-        seg = beta_to_segmentation(SparseStepVector(entries={1: 5.0}), 10)
-        assert seg.change_points == ()
-        assert seg.means == (5.0,)
-
-    def test_published_particular_series(self):
-        beta = SparseStepVector(entries={1: 2.0, 8: -2.0, 19: 2.0, 37: 1.0})
-        seg = beta_to_segmentation(beta, 100)
-        assert seg.change_points == (7, 18, 36)
-        assert seg.means == (2.0, 0.0, 2.0, 3.0)
-
-    def test_missing_first_position(self):
-        with pytest.raises(ValidationError):
-            SparseStepVector(entries={3: 1.0})
-
-    def test_position_out_of_range(self):
-        beta = SparseStepVector(entries={1: 1.0, 12: 1.0})
-        with pytest.raises(ValidationError):
-            beta_to_segmentation(beta, 10)
-
+class TestSegmentation:
     def test_mean_path_matches_apply_step(self):
-        beta = SparseStepVector(entries={1: 2.0, 3: -2.0, 6: 3.0})
-        seg = beta_to_segmentation(beta, 6)
-        path = apply_step(beta.positions(), beta.values_in_order(), 6)
+        seg = Segmentation(change_points=(2, 5), means=(2.0, 0.0, 3.0))
+        path = apply_step([1, 3, 6], [2.0, -2.0, 3.0], 6)
         np.testing.assert_allclose(seg.mean_path(6), path)
 
 
-class TestSegmentationToBeta:
-    def test_inverse_of_example(self):
-        seg = Segmentation(change_points=(2, 5), means=(2.0, 0.0, 3.0))
-        beta = segmentation_to_beta(seg, 6)
-        assert beta.entries == {1: 2.0, 3: -2.0, 6: 3.0}
-
-    def test_zero_mean_gives_empty_vector(self):
-        seg = Segmentation(change_points=(), means=(0.0,))
-        assert segmentation_to_beta(seg, 4).entries == {}
-
-    def test_published_particular_series(self):
-        seg = Segmentation(change_points=(7, 18, 36), means=(2.0, 0.0, 2.0, 3.0))
-        beta = segmentation_to_beta(seg, 100)
-        assert beta.entries == {1: 2.0, 8: -2.0, 19: 2.0, 37: 1.0}
-
-    def test_equal_consecutive_means_rejected(self):
-        seg = Segmentation(change_points=(3,), means=(1.0, 1.0))
-        with pytest.raises(ValidationError):
-            segmentation_to_beta(seg, 6)
-
-
 @st.composite
-def sparse_vectors(draw):
+def step_vectors(draw):
+    """(n, ascending 1-based positions starting at 1, nonzero jumps)."""
     n = draw(st.integers(min_value=2, max_value=40))
     extra = draw(st.lists(st.integers(min_value=2, max_value=n), unique=True,
                           max_size=6))
@@ -101,31 +44,18 @@ def sparse_vectors(draw):
         st.floats(min_value=-10, max_value=10, allow_nan=False,
                   allow_infinity=False).filter(lambda v: abs(v) > 1e-6),
     )
-    entries = {1: draw(value)}
-    for p in extra:
-        entries[p] = draw(value)
-    return SparseStepVector(entries=entries), n
+    positions = [1] + sorted(extra)
+    return n, positions, [draw(value) for _ in positions]
 
 
 class TestRoundTrip:
-    @given(sparse_vectors())
-    @settings(max_examples=150, deadline=None)
-    def test_beta_segmentation_beta(self, case):
-        beta, n = case
-        seg = beta_to_segmentation(beta, n)
-        back = segmentation_to_beta(seg, n)
-        assert back.positions() == beta.positions()
-        np.testing.assert_allclose(back.values_in_order(), beta.values_in_order(),
-                                   rtol=0, atol=1e-12)
-
-    @given(sparse_vectors())
+    @given(step_vectors())
     @settings(max_examples=100, deadline=None)
     def test_step_path_jumps_exactly_at_positions(self, case):
-        beta, n = case
-        path = apply_step(beta.positions(), beta.values_in_order(), n)
+        n, positions, values = case
+        path = apply_step(positions, values, n)
         jumps = {int(t) + 1 for t in np.flatnonzero(np.diff(path)) + 1}
-        expected = {p for p in beta.positions() if p > 1}
-        assert jumps == expected
+        assert jumps == set(positions[1:])
 
 
 class TestStepGram:
