@@ -15,7 +15,6 @@ from .dictionary import (
     DesignMatrix,
     Dictionary,
     atom_label,
-    build_dictionary,
     evaluate_dictionary,
     exchange_dictionary,
     fourier_period_floor_dictionary,

@@ -19,6 +19,7 @@ import numpy as np
 
 from .config import RunConfig, derive_seeds
 from .dictionary import evaluate_dictionary, simulation_dictionary
+from .errors import ValidationError
 from .metrics import functional_metrics, segmentation_metrics
 from .pipeline import fit_series
 from .posterior import MODE_P, MODE_SP
@@ -99,7 +100,7 @@ def _fit_one(task) -> ReplicateRow:
                sim_seed=sim_seed, fit_seed=fit_seed)
     try:
         series, truth = simulate_series(n, sigma, np.random.default_rng(sim_seed))
-        cfg = replace(base, mode=MODE_SP if method == "sp" else MODE_P)
+        cfg = replace(base, mode=method)
         design = None
         if cfg.mode == MODE_SP:
             design = evaluate_dictionary(simulation_dictionary(n, family=family),
@@ -130,7 +131,13 @@ def run_benchmark(levels, replicates: int, methods=("sp", "p"),
                   n: int = 100, family: str = "point100",
                   n_jobs: int = 1) -> BenchmarkReport:
     if replicates < 1:
-        raise ValueError("replicates must be >= 1")
+        raise ValidationError("replicates must be >= 1")
+    if not all(sigma >= 0.0 for sigma in levels):
+        raise ValidationError(f"noise levels must be nonnegative numbers, got {list(levels)}")
+    methods = tuple(methods)
+    if not methods or len(set(methods)) != len(methods) or not set(methods) <= {MODE_SP, MODE_P}:
+        raise ValidationError(f"methods must be distinct names among '{MODE_SP}' and "
+                              f"'{MODE_P}', got {methods}")
     config = (config or RunConfig.default()).validate()
     cfg_kw = {f.name: getattr(config, f.name) for f in fields(RunConfig)}
 

@@ -23,9 +23,11 @@ from .benchmark import run_benchmark
 from .config import RunConfig, derive_seeds, load_config, sensitivity_presets
 from .dictionary import (
     DesignMatrix,
-    build_dictionary,
     evaluate_dictionary,
+    exchange_dictionary,
+    fourier_period_floor_dictionary,
     load_design_matrix,
+    simulation_dictionary,
 )
 from .errors import DataError, DictsegError, ValidationError
 from .gibbs import run_gibbs
@@ -57,12 +59,12 @@ def resolve_design(spec: str, series: TimeSeries) -> tuple[DesignMatrix, tuple[s
                 raise ValidationError(f"unknown fourier option {key!r}")
             floor = float(value)
         span = float(series.covariate[-1] - series.covariate[0])
-        dictionary = build_dictionary("fourier_period_floor", span=span, floor=floor)
+        dictionary = fourier_period_floor_dictionary(span, floor)
     elif spec.startswith("simulation_n100"):
         family = spec.partition(":")[2] or "haar128"
-        dictionary = build_dictionary("simulation_n100", n=series.n, family=family)
+        dictionary = simulation_dictionary(series.n, family=family)
     elif spec == "exchange":
-        dictionary = build_dictionary("exchange", n=series.n)
+        dictionary = exchange_dictionary(series.n)
     else:
         raise ValidationError(f"unknown dictionary spec {spec!r}")
     return evaluate_dictionary(dictionary, series.covariate), dictionary.labels()
@@ -214,7 +216,10 @@ def cmd_metrics(args) -> int:
 
 def cmd_bench(args) -> int:
     cfg = _base_config(args)
-    levels = [float(s) for s in args.sigmas.split(",")]
+    try:
+        levels = [float(s) for s in args.sigmas.split(",")]
+    except ValueError as exc:
+        raise ValidationError(f"--sigmas must be comma-separated numbers: {exc}") from exc
     methods = tuple(args.methods.split(","))
     report = run_benchmark(levels, args.replicates, methods=methods, config=cfg,
                            master_seed=args.seed, n=args.n, family=args.family,

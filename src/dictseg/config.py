@@ -28,7 +28,7 @@ class RunConfig:
     iterations: int = 20000
     burn_in: int = 5000
     gibbs_iterations: int = 20000
-    gibbs_burn_in: int = 5000  # parsed and validated; the exact coefficient stage needs none
+    gibbs_burn_in: int = 5000  # accepted and ignored; the exact coefficient stage needs none
     init_segments: int = 3
     init_functions: int = 3
     flip_gamma: int = 2
@@ -37,18 +37,14 @@ class RunConfig:
     dictionary: str = "simulation_n100:point100"
 
     def validate(self) -> "RunConfig":
-        if self.mode not in (MODE_SP, MODE_P):
-            raise ValidationError(f"mode must be '{MODE_SP}' or '{MODE_P}'")
+        """Check the prior scales here and every sampler setting by
+        building the two stages' configs."""
         if self.c1 <= 0 or self.c2 <= 0:
             raise ValidationError("c1 and c2 must be positive")
         if not 0 <= self.pi <= 1 or not 0 <= self.eta <= 1:
             raise ValidationError("pi and eta must lie in [0, 1]")
-        if not 0 <= self.burn_in < self.iterations:
-            raise ValidationError("burn_in must satisfy 0 <= burn_in < iterations")
-        if not 0 <= self.gibbs_burn_in < self.gibbs_iterations:
-            raise ValidationError("gibbs_burn_in must satisfy 0 <= value < gibbs_iterations")
-        if min(self.init_segments, self.init_functions, self.flip_gamma, self.flip_r) < 1:
-            raise ValidationError("counts must be >= 1")
+        self.mh_config()
+        self.gibbs_config()
         return self
 
     @classmethod

@@ -245,29 +245,6 @@ def fourier_period_floor_dictionary(span: float, floor: float) -> Dictionary:
     return Dictionary(atoms=tuple(atoms), name=f"fourier_span{span:g}_floor{floor:g}")
 
 
-def build_dictionary(spec, **kwargs) -> Dictionary:
-    """Build a dictionary from a preset name or an explicit atom list.
-
-    Presets: ``simulation_n100`` (optional ``family=`` flag, see
-    :func:`simulation_dictionary`), ``exchange`` (requires ``n=``),
-    ``fourier_period_floor`` (requires ``span=`` and ``floor=``).
-    """
-    if isinstance(spec, str):
-        if spec == "simulation_n100":
-            return simulation_dictionary(n=kwargs.pop("n", 100), **kwargs)
-        if spec == "exchange":
-            return exchange_dictionary(**kwargs)
-        if spec == "fourier_period_floor":
-            return fourier_period_floor_dictionary(**kwargs)
-        raise ValidationError(f"unknown dictionary preset {spec!r}")
-    atoms = tuple(spec)
-    if not atoms:
-        raise ValidationError("custom dictionary must not be empty")
-    if atoms[0].kind != "constant":
-        raise ValidationError("first custom atom must be the constant function")
-    return Dictionary(atoms=atoms, name=kwargs.get("name", "custom"))
-
-
 def load_design_matrix(path) -> DesignMatrix:
     """Read a custom design from CSV: header row of atom
     labels, then n rows by M columns.  The first column is forced to

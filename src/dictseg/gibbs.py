@@ -228,7 +228,7 @@ def run_gibbs(ctx: PosteriorContext, selection: LatentState, config: GibbsConfig
     gidx = positions[None] - 1
     if sp:
         r_idx = np.flatnonzero(selection.r)
-        inv_len, seg, stack = _segment_algebra(ctx, gidx, r_idx[None], np.ones(1, dtype=bool))
+        inv_len, seg, stack = _segment_algebra(ctx, gidx, r_idx[None])
         with np.errstate(divide="ignore", invalid="ignore"):
             pivots, regular = _eliminate(stack, d_r)
         if not regular[1]:

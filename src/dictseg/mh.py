@@ -13,21 +13,24 @@ e.g. from two free change-points it never reaches one or three.
 The chain is the sequential one, computed in blocks.  Each iteration
 draws, in this order, the coin (mode sp only), the flip indices and,
 only when the log-density change is finite and negative, the accept
-uniform.  Most proposals are rejected, so the kernel speculates: from
-the current state it draws the next B proposals as if every one drew
-its uniform, saving the generator state just before each uniform, and
-scores all B in one ``evaluate_stack`` call.  It then walks the block
-in order.  A proposal that needs its uniform uses the pre-drawn one;
-if it is accepted, the rest of the block stays valid (the draws do not
-depend on the state) and is scored again from the new state.  A
-proposal whose change is >= 0 or -inf draws no uniform in the
-sequential chain, so the kernel restores the saved generator state and
-starts a new block there.  The random stream, and hence the trace, is
-the sequential kernel's for any B.  B is three times the number of
-iterations per event so far (an accept or a -inf proposal, each of
-which ends or re-scores a block), at most MAX_BLOCK: one call costs
-about as much as a hundred extra candidates, so a block should
-usually outlast the run to the next event.
+uniform.  Most proposals are rejected, so the kernel speculates
+(pre-fetching, Brockwell 2006): it draws the next B proposals as if
+every one drew its uniform, saving the generator state just before
+each uniform.  Each pass of its loop scores the block's unscored
+proposals from the current state in one ``evaluate_stack`` call and
+walks them in order.  A proposal that needs its uniform uses the
+pre-drawn one; if it is accepted, the proposals after it stay valid
+(the draws do not depend on the state) and the next pass scores them
+from the new state.  A proposal whose change is >= 0 or -inf draws no
+uniform in the sequential chain, so the kernel restores the saved
+generator state and draws a new block there.  A density is a function
+of its state alone, the same to the last bit in any stack, so the
+random stream, and hence the trace, is the sequential kernel's for any
+B.  B is three times the number of iterations per event so far (an
+accept or a -inf proposal, each of which ends or re-scores a block),
+at most MAX_BLOCK: one call costs about as much as a hundred extra
+candidates, so a block should usually outlast the run to the next
+event.
 
 A trace is the initial state plus the log of accepted flips: per
 iteration, the proposal target, the acceptance flag, the log density
@@ -297,23 +300,6 @@ def _sample_initial(ctx: PosteriorContext, config: MHConfig,
     return LatentState(gamma=gamma, r=r)
 
 
-def _score(ctx: PosteriorContext, gidx, ridx, logdet_f, on_gamma, flips_g, flips_r):
-    """Score proposals of the current state in one ``evaluate_stack`` call.
-
-    Row j of ``flips_g`` (``flips_r``) holds proposal j's flips of gamma
-    (r), or padding.  Returns the log densities (a list), the
-    candidates' step and atom rows and their log det Fr'Fr; gamma moves
-    reuse the current state's.
-    """
-    g_stack = _flip(gidx, flips_g, ctx.n)
-    if ridx is None:
-        return evaluate_stack(ctx, g_stack)[0].tolist(), g_stack, None, None
-    r_stack = _flip(ridx, flips_r, ctx.num_atoms)
-    values, logdets = evaluate_stack(ctx, g_stack, r_stack,
-                                     np.where(on_gamma, logdet_f, np.nan))
-    return values.tolist(), g_stack, r_stack, logdets
-
-
 def run_metropolis_hastings(ctx: PosteriorContext, config: MHConfig,
                             rng: np.random.Generator | None = None) -> MHTrace:
     """Run one chain; deterministic given (ctx, config, seed)."""
@@ -337,11 +323,9 @@ def run_metropolis_hastings(ctx: PosteriorContext, config: MHConfig,
         attempts += 1
         gidx = np.flatnonzero(state.gamma)
         ridx = np.flatnonzero(state.r) if sp else None
-        values, logdets = evaluate_stack(ctx, gidx[None], None if ridx is None else ridx[None])
-        log_post = float(values[0])
+        log_post = float(evaluate_stack(ctx, gidx[None], None if ridx is None else ridx[None])[0])
         if log_post > -np.inf:
             break
-    logdet_f = float(logdets[0]) if sp else None
 
     initial_log_density = log_post
 
@@ -354,65 +338,62 @@ def run_metropolis_hastings(ctx: PosteriorContext, config: MHConfig,
     neg_inf = [0, 0]
     events = calls = scored = 0
 
-    t = 0
+    t = first = size = 0  # proposals first..size-1 of the block are unscored
     while t < total:
-        size = min(MAX_BLOCK, total - t, max(1, 3 * (t + 1) // (events + 1)))
-        on_gamma = np.ones(size, dtype=bool)
-        flips_g = np.full((size, config.flip_gamma), n)
-        flips_r = np.full((size, config.flip_r), m) if sp else None
-        saved, uniforms = [], []
-        for j in range(size):
-            if sp and rng.random() >= 0.5:
-                on_gamma[j] = False
-                flips_r[j] = _draw_flip_indices(rng, m, config.flip_r)
-            else:
-                flips_g[j] = _draw_flip_indices(rng, n, config.flip_gamma)
-            saved.append(rng.bit_generator.state)
-            uniforms.append(rng.random())
-        values, g_stack, r_stack, logdets = _score(ctx, gidx, ridx, logdet_f,
-                                                   on_gamma, flips_g, flips_r)
+        if first == size:
+            first, size = 0, min(MAX_BLOCK, total - t, max(1, 3 * (t + 1) // (events + 1)))
+            on_gamma = np.ones(size, dtype=bool)
+            flips_g = np.full((size, config.flip_gamma), n)
+            flips_r = np.full((size, config.flip_r), m) if sp else None
+            saved, uniforms = [], []
+            for j in range(size):
+                if sp and rng.random() >= 0.5:
+                    on_gamma[j] = False
+                    flips_r[j] = _draw_flip_indices(rng, m, config.flip_r)
+                else:
+                    flips_g[j] = _draw_flip_indices(rng, n, config.flip_gamma)
+                saved.append(rng.bit_generator.state)
+                uniforms.append(rng.random())
+        g_stack = _flip(gidx, flips_g[first:], n)
+        r_stack = _flip(ridx, flips_r[first:], m) if sp else None
+        values = evaluate_stack(ctx, g_stack, r_stack).tolist()
         calls += 1
-        scored += size
-        first = 0  # the proposal that row 0 of the scores belongs to
-        for j in range(size):
-            k = j - first
+        scored += size - first
+        start, first = first, size
+        for k, j in enumerate(range(start, size)):
             delta = values[k] - log_post
             target = TARGET_GAMMA if on_gamma[j] else TARGET_R
-            if delta == -np.inf or delta >= 0.0:
+            used = -np.inf < delta < 0.0
+            if used:
+                accept = math.log(uniforms[j]) < delta
+            else:
                 # the sequential kernel draws no uniform here: rewind the
                 # stream to just before it and start a new block
                 rng.bit_generator.state = saved[j]
-                accept, block_ends = delta >= 0.0, True
+                accept = delta >= 0.0
                 if not accept:
                     neg_inf[target] += 1
-            else:
-                accept, block_ends = math.log(uniforms[j]) < delta, False
             which[t] = target
             if accept:
-                idx = flips_g[j] if target == TARGET_GAMMA else flips_r[j]
                 if target == TARGET_GAMMA:
-                    gidx = g_stack[k][g_stack[k] < n]
+                    idx, gidx = flips_g[j], g_stack[k][g_stack[k] < n]
                 else:
-                    ridx = r_stack[k][r_stack[k] < m]
-                    logdet_f = logdets[k]
+                    idx, ridx = flips_r[j], r_stack[k][r_stack[k] < m]
                 log_post = values[k]
                 accepted[t] = True
                 flip_chunks.append(np.sort(idx).astype(np.int32))
                 flip_offsets[t + 1] = flip_offsets[t] + idx.size
             else:
                 flip_offsets[t + 1] = flip_offsets[t]
-            events += accept or block_ends
             log_density[t] = log_post
             t += 1
-            if block_ends:
+            if accept or not used:
+                events += 1
+                if accept and used:
+                    # the leftover proposals stay valid: score them
+                    # from the new state
+                    first = j + 1
                 break
-            if accept and j + 1 < size:
-                first = j + 1
-                values, g_stack, r_stack, logdets = _score(
-                    ctx, gidx, ridx, logdet_f, on_gamma[first:], flips_g[first:],
-                    None if flips_r is None else flips_r[first:])
-                calls += 1
-                scored += size - first
 
     flip_indices = (np.concatenate(flip_chunks).astype(np.int32)
                     if flip_chunks else np.empty(0, dtype=np.int32))

@@ -27,11 +27,12 @@ selected model from the same routine, ``_segment_algebra``.
 Candidates of different sizes share the stack through padding: padded
 positions are empty segments and padded atoms identity rows.  Every
 step is elementwise, a reduction of fixed length, or a running total
-in index order, and the factorization of
-[[A, v], [v', Y'Uinv·Y]] (whose last pivot is q) is a right-looking
-elimination written out in those terms.  So padding adds exact zeros
-after every real term, and a model's value is the same to the last bit
-whatever stack it is scored in.  The log prior is summed over the
+in index order, and the factorizations of [[A, v], [v', Y'Uinv·Y]]
+(whose last pivot is q) and of [[Fr'Fr, Fr'Y], [Y'Fr, Y'Y]] are one
+right-looking elimination of a stack of 2B matrices, written out in
+those terms.  So padding adds exact zeros after every real term, and
+a model's value is the same to the last bit whatever stack it is
+scored in; nothing is carried from one call to the next.  The log prior is summed over the
 selected indices alone (O(d_g + d_r)), never over all n + M bits.
 
 Segmentation-only evaluation ("p" mode) drops every r-dependent term:
@@ -314,8 +315,6 @@ class PosteriorContext:
                 raise ValidationError("r length must match atom count")
 
 
-
-
 def _diagonal(mat: np.ndarray) -> np.ndarray:
     """View of the diagonals of a C-contiguous (d, d, B) stack, (d, B)."""
     return mat.reshape(-1, mat.shape[-1])[::len(mat) + 1]
@@ -337,24 +336,19 @@ def _pivots(mat: np.ndarray) -> np.ndarray:
 
 
 def evaluate_stack(ctx: PosteriorContext, gidx: np.ndarray,
-                   ridx: np.ndarray | None = None,
-                   logdet_f: np.ndarray | None = None):
-    """Collapsed log densities of a stack of B models.
+                   ridx: np.ndarray | None = None) -> np.ndarray:
+    """Collapsed log densities (B,) of a stack of B models.
 
     ``gidx`` (B, Dg) holds each model's selected step positions as
     0-based ascending indices, padded at the end with n; ``ridx``
-    (B, Dr), in mode sp, its selected atoms padded with M.
-    ``logdet_f`` optionally gives log det Fr'Fr for rows whose atoms a
-    caller has factored before; NaN entries are computed here.
-
-    Returns the log densities and, in mode sp, log det Fr'Fr per row
-    (-inf where the atoms are linearly dependent).  No argument
-    validation: the sampler calls this in its inner loop.  Internally
-    the model index is the last axis, so every array operation runs
-    along the stack.
+    (B, Dr), in mode sp, its selected atoms padded with M.  Each value
+    is a function of its own row alone, the same to the last bit in any
+    stack.  No argument validation: the sampler calls this in its inner
+    loop.  Internally the model index is the last axis, so every array
+    operation runs along the stack.
     """
     with np.errstate(divide="ignore", invalid="ignore"):
-        return _evaluate_stack(ctx, gidx, ridx, logdet_f)
+        return _evaluate_stack(ctx, gidx, ridx)
 
 
 def _with_row(idx: np.ndarray, value: int) -> np.ndarray:
@@ -365,7 +359,7 @@ def _with_row(idx: np.ndarray, value: int) -> np.ndarray:
     return out
 
 
-def _segment_algebra(ctx, gidx, ridx=None, fresh=None):
+def _segment_algebra(ctx, gidx, ridx=None):
     """Segment sums and bordered matrices of a stack of B models.
 
     ``gidx`` and ``ridx`` are as in ``evaluate_stack``.  Returns the
@@ -375,10 +369,10 @@ def _segment_algebra(ctx, gidx, ridx=None, fresh=None):
 
     - mode p: the sums of Y (Dg, B) and Y'Uinv·Y (B,);
     - mode sp: the sums of [Fr, Y] (Dg, Dr + 1, B) and a stack
-      (Dr + 1, Dr + 1, B + F) holding each model's bordered
-      [[A, v], [v', Y'Uinv·Y]], then [[Fr'Fr, Fr'Y], [Y'Fr, Y'Y]]
-      (identity on padded atoms) of the F models that the boolean
-      ``fresh`` marks.
+      (Dr + 1, Dr + 1, 2B) holding each model's bordered
+      [[A, v], [v', Y'Uinv·Y]], then each model's
+      [[Fr'Fr, Fr'Y], [Y'Fr, Y'Y]] (identity on padded atoms), so that
+      one elimination gives the pivots of both A and Fr'Fr.
     """
     n, m = ctx.n, ctx.num_atoms
     width = m + 2
@@ -408,13 +402,10 @@ def _segment_algebra(ctx, gidx, ridx=None, fresh=None):
     # bordered [[A, v], [v', Y'Uinv Y]] then has q as its last pivot
     gram = ctx._gram.ravel().take(cols[:, None] * width + cols)
     _diagonal(gram)[:dr][cols[:-1] == m] = 1.0
-    rows = len(gidx)
-    stack = np.empty((dr + 1, dr + 1, rows + np.count_nonzero(fresh)))
-    mat = stack[:, :, :rows]
-    mat[...] = gram
+    stack = np.concatenate((gram, gram), axis=2)
+    mat = stack[:, :, :len(gidx)]
     mat[:dr, :dr] *= ctx._scale.take(cols[:-1])[:, None]
     mat -= ctx.shrink * proj
-    stack[:, :, rows:] = gram.compress(fresh, axis=2)
     return inv_len, seg, stack
 
 
@@ -427,7 +418,7 @@ def _eliminate(stack: np.ndarray, dr: int):
     return pivots, np.logical_and.reduce(pivots > PIVOT_FLOOR * diagonal, axis=0)
 
 
-def _evaluate_stack(ctx, gidx, ridx, logdet_f):
+def _evaluate_stack(ctx, gidx, ridx):
     n = ctx.n
     rows = len(gidx)
     weight = ctx._weight_gamma(gidx.T)
@@ -435,24 +426,21 @@ def _evaluate_stack(ctx, gidx, ridx, logdet_f):
     if ctx.mode == MODE_P:
         q = _segment_algebra(ctx, gidx)[2]
         value = weight - 0.5 * n * np.log(0.5 * q)
-        return np.where(q >= ctx._q_min, value, -np.inf), None
+        return np.where(q >= ctx._q_min, value, -np.inf)
 
     dr = ridx.shape[1]
     weight += ctx._weight_r(ridx.T)
-    logdet_f = np.full(rows, np.nan) if logdet_f is None else np.array(logdet_f, dtype=float)
-    fresh = np.isnan(logdet_f)
-    stack = _segment_algebra(ctx, gidx, ridx, fresh)[2]
+    stack = _segment_algebra(ctx, gidx, ridx)[2]
     pivots, regular = _eliminate(stack, dr)
     logdet = _total(np.log(pivots))
-    logdet_f[fresh] = np.where(regular[rows:], logdet[rows:], -np.inf)
     q = stack[dr, dr, :rows]
-    value = (weight + 0.5 * logdet_f - 0.5 * logdet[:rows] - 0.5 * n * np.log(0.5 * q))
-    ok = regular[:rows] & (logdet_f > -np.inf) & (q >= ctx._q_min)
-    return np.where(ok, value, -np.inf), logdet_f
+    value = (weight + 0.5 * logdet[rows:] - 0.5 * logdet[:rows] - 0.5 * n * np.log(0.5 * q))
+    ok = regular[:rows] & regular[rows:] & (q >= ctx._q_min)
+    return np.where(ok, value, -np.inf)
 
 
 def log_integrated_posterior(state: LatentState, ctx: PosteriorContext) -> float:
     """Collapsed log-posterior of one state: a stack of one."""
     ctx.check_state(state)
     ridx = np.flatnonzero(state.r)[None] if ctx.mode == MODE_SP else None
-    return float(evaluate_stack(ctx, np.flatnonzero(state.gamma)[None], ridx)[0][0])
+    return float(evaluate_stack(ctx, np.flatnonzero(state.gamma)[None], ridx)[0])

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import numpy as np
@@ -174,6 +175,37 @@ class TestFitAndMetrics:
         assert "error (validation)" in capsys.readouterr().err
 
 
+# sha256 of the search-stage files of one seeded default-preset fit of a
+# simulated n = 100 series; any change to the search's random stream, its
+# scores or its file format changes them
+SEARCH_DIGESTS = {
+    "sp": {
+        "selection.json": "5c2c29c2e239cec0d533870f2ec84981d43b523a7d95c235d6c395237336b3a7",
+        "inclusion.csv": "beb9dd35407cf3e17c11d939c0617fda0317d23afff5ec4190ff774c44b43343",
+        "mh_trace.csv": "89ddf3d7ea02aea5c4dafa9f0dc97a759451b0cd9a9e7e1bc8f3a6acb76ef7d0",
+    },
+    "p": {
+        "selection.json": "2bc5860db375244fdc371415fb2377e97186257328d322343c8a9584ad19ce7f",
+        "inclusion.csv": "d47aa031416acc8c4d0b8a5119a3dd27f0c2780dc501d95159e0962e0a1dcad2",
+        "mh_trace.csv": "8f14376720eb26ce6894528164ca62cd2c1795a2930aabd699fb35838107479c",
+    },
+}
+
+
+class TestDeterminismPin:
+    @pytest.mark.parametrize("mode", ["sp", "p"])
+    def test_search_files_keep_their_digests(self, tmp_path, mode):
+        series = tmp_path / "series.csv"
+        assert main(["simulate", "--n", "100", "--sigma", "0.5", "--seed", "3",
+                     "--out", str(series)]) == 0
+        out_dir = tmp_path / "fit"
+        assert main(["fit", "--input", str(series), "--out-dir", str(out_dir),
+                     "--mode", mode, "--seed", "7", "--save-trace"]) == 0
+        digests = {name: hashlib.sha256((out_dir / name).read_bytes()).hexdigest()
+                   for name in SEARCH_DIGESTS[mode]}
+        assert digests == SEARCH_DIGESTS[mode]
+
+
 class TestDict:
     def test_design_matrix_export(self, workspace):
         out = workspace / "design.csv"
@@ -216,3 +248,14 @@ class TestBench:
                      "--out-dir", str(workspace / "bench")])
         assert code == 2
         assert "error (validation)" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("option", [["--replicates", "0"], ["--sigmas", "0.1,abc"],
+                                        ["--sigmas", "0.1,-1"], ["--methods", "sp,pp"]],
+                             ids=["replicates", "sigmas", "negative-sigma", "methods"])
+    def test_bad_input_is_a_validation_error(self, workspace, capsys, option):
+        code = main(["bench", "--sigmas", "0.1", "--replicates", "1",
+                     "--config", str(workspace / "fast.cfg"), *option,
+                     "--out-dir", str(workspace / "bench")])
+        assert code == 2
+        assert "error (validation)" in capsys.readouterr().err
+        assert not (workspace / "bench").exists()

@@ -50,6 +50,14 @@ class TestRunConfig:
         with pytest.raises(ValidationError):
             RunConfig(mode="both").validate()
 
+    def test_gibbs_burn_in_is_ignored(self, tmp_path):
+        path = tmp_path / "run.cfg"
+        path.write_text("gibbs_iterations = 800\n")
+        cfg = load_config(path)
+        assert (cfg.gibbs_iterations, cfg.gibbs_burn_in) == (800, 5000)
+        with pytest.raises(ValidationError):
+            parse_config("gibbs_iterations = 0\n")
+
     def test_sub_configs_inherit_values(self):
         cfg = RunConfig(iterations=500, burn_in=100, seed=9)
         mh = cfg.mh_config()

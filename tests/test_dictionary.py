@@ -7,7 +7,6 @@ from dictseg import (
     Dictionary,
     ValidationError,
     atom_label,
-    build_dictionary,
     evaluate_dictionary,
     exchange_dictionary,
     fourier_period_floor_dictionary,
@@ -20,7 +19,7 @@ T_GRID = np.arange(1.0, 101.0)
 
 class TestPresetSizes:
     def test_simulation_preset_has_151_atoms(self):
-        assert build_dictionary("simulation_n100").size == 151
+        assert simulation_dictionary(100).size == 151
 
     def test_point_family_indexes_like_the_selection_tables(self):
         d = simulation_dictionary(100, family="point100")
@@ -40,9 +39,9 @@ class TestPresetSizes:
 
     def test_custom_list_must_start_with_constant(self):
         with pytest.raises(ValidationError):
-            build_dictionary([Atom("poly", {"degree": 1})])
+            Dictionary(atoms=(Atom("poly", {"degree": 1}),))
         with pytest.raises(ValidationError):
-            build_dictionary([])
+            Dictionary(atoms=())
 
 
 class TestEvaluation:
