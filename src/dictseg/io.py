@@ -192,8 +192,7 @@ def write_results(fit: FitResult, trace: MHTrace, series: TimeSeries,
             if trace is not None:
                 summary["acceptance"]["r"] = trace.acceptance_rate("r")
         with open(paths["summary"], "w") as fh:
-            json.dump(summary, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+            fh.write(json.dumps(summary, indent=2, sort_keys=True) + "\n")
     except OSError as exc:
         raise DataError(f"cannot write results under {out}: {exc}") from exc
     return paths

@@ -15,15 +15,19 @@ draws, in this order, the coin (mode sp only), the flip indices and,
 only when the log-density change is finite and negative, the accept
 uniform.  Most proposals are rejected, so the kernel speculates
 (pre-fetching, Brockwell 2006): it draws the next B proposals as if
-every one drew its uniform, saving the generator state just before
-each uniform.  Each pass of its loop scores the block's unscored
-proposals from the current state in one ``evaluate_stack`` call and
-walks them in order.  A proposal that needs its uniform uses the
-pre-drawn one; if it is accepted, the proposals after it stay valid
-(the draws do not depend on the state) and the next pass scores them
-from the new state.  A proposal whose change is >= 0 or -inf draws no
-uniform in the sequential chain, so the kernel restores the saved
-generator state and draws a new block there.  A density is a function
+every one drew its uniform, from one bulk read of the generator's raw
+PCG64 words decoded exactly as numpy's ``random``, ``integers`` and
+``choice`` decode them (Floyd's sampling, Lemire's bounded integers),
+and notes the word offset and buffered half-word just before each
+uniform.  So the block draws depend only on PCG64's raw output.  Each pass
+of its loop scores the block's unscored proposals from the current
+state in one ``evaluate_stack`` call and walks them in order.  A
+proposal that needs its uniform uses the pre-drawn one; if it is
+accepted, the proposals after it stay valid (the draws do not depend on
+the state) and the next pass scores them from the new state.  A
+proposal whose change is >= 0 or -inf draws no uniform in the
+sequential chain, so the kernel moves the generator to that proposal's
+offset and half-word and draws a new block there.  A density is a function
 of its state alone, the same to the last bit in any stack, so the
 random stream, and hence the trace, is the sequential kernel's for any
 B.  B is three times the number of iterations per event so far (an
@@ -97,6 +101,127 @@ def _draw_flip_indices(rng: np.random.Generator, length: int, count: int) -> np.
     if count == 1:
         return np.array([rng.integers(length - 1) + 1])
     return rng.choice(length - 1, size=count, replace=False) + 1
+
+
+_LOW = (1 << 32) - 1
+_WORD = (1 << 64) - 1
+_UNIT = 1.0 / (1 << 53)
+
+
+def _seek(bit_generator, start: dict, offset: int, half: int | None) -> None:
+    """Put a PCG64 ``offset`` words past the state ``start``, with ``half``
+    as its buffered 32-bit half-word (None: no half-word buffered)."""
+    bit_generator.state = start
+    bit_generator.advance(offset)
+    if half is not None:
+        state = bit_generator.state
+        state["has_uint32"], state["uinteger"] = 1, half
+        bit_generator.state = state
+
+
+def _draw_block(bit_generator, size: int, gamma: tuple[int, int],
+                r: tuple[int, int] | None = None):
+    """The next ``size`` proposals from one bulk read of a PCG64 stream.
+
+    ``gamma`` and ``r`` are (vector length, flip count); with ``r`` each
+    proposal starts with the coin.  Proposal j gets exactly the coin, flip
+    indices and uniform that ``rng.random() >= 0.5``,
+    ``_draw_flip_indices(rng, length, count)`` and ``rng.random()`` would
+    give, in that order, on a ``Generator`` over ``bit_generator``: the raw
+    words are decoded as numpy decodes them.
+    - ``random`` is (word >> 11)·2⁻⁵³, so the coin is word >> 63.
+    - A 32-bit draw takes the low half of a word and buffers the high
+      half for the next 32-bit draw; 64-bit draws leave the buffer alone.
+    - An integer in [0, k] is Lemire's multiply-and-reject, 32-bit below
+      2³², 64-bit above, and no draw for k = 0.
+    - ``integers(length - 1)`` gives one flip; ``choice`` without
+      replacement gives more: Floyd's sampling then a shuffle, or for
+      length - 1 > 10000 and count > (length - 1) // 50 a tail shuffle
+      of the whole range.
+
+    Returns the targets (True for gamma), the flip rows of each vector
+    (padded with its length where the other vector is flipped), the
+    uniforms, the block's start state and, per proposal, the word offset
+    and buffered half-word just before its uniform: ``_seek`` there is
+    the stream after a proposal that draws no uniform.  Leaves the
+    generator at the block's end.
+    """
+    start = bit_generator.state
+    half = start["uinteger"] if start["has_uint32"] else None
+    chunk = size * (2 + max(gamma[1], r[1] if r else 0))
+    words = bit_generator.random_raw(chunk).tolist()
+    pos = 0
+
+    def word():
+        nonlocal pos
+        if pos == len(words):
+            words.extend(bit_generator.random_raw(chunk).tolist())
+        pos += 1
+        return words[pos - 1]
+
+    def bounded(high):
+        # numpy's Lemire test, leftover < high + 1 and leftover < threshold,
+        # is leftover < threshold alone, as threshold <= high
+        nonlocal half
+        if high == 0:
+            return 0
+        excl = high + 1
+        if high > _LOW:
+            threshold = (_WORD - high) % excl
+            while (prod := word() * excl) & _WORD < threshold:
+                pass
+            return prod >> 64
+        threshold = (_LOW - high) % excl
+        while True:
+            if half is None:
+                low = word()
+                half, prod = low >> 32, (low & _LOW) * excl
+            else:
+                prod, half = half * excl, None
+            if prod & _LOW >= threshold:
+                return prod >> 32
+
+    def flip_indices(pop, count):
+        # 0-based draws from {0..pop-1}
+        if count == 1:
+            return [bounded(pop - 1)]
+        if pop > 10000 and count > pop // 50:
+            moved = {}
+            for i in range(pop - 1, max(pop - count, 1) - 1, -1):
+                j = bounded(i)
+                moved[i], moved[j] = moved.get(j, j), moved.get(i, i)
+            return [moved.get(i, i) for i in range(pop - count, pop)]
+        picked = []
+        for j in range(pop - count, pop):
+            v = bounded(j)
+            picked.append(j if v in picked else v)
+        for i in range(count - 1, 0, -1):
+            j = bounded(i)
+            picked[i], picked[j] = picked[j], picked[i]
+        return picked
+
+    # rows hold draws from {0..length-2}, one less than the indices, so a
+    # row of length - 1 is padding
+    on_gamma, rows_g, rows_r, uniforms, marks = [], [], [], [], []
+    pop_g, count_g = gamma[0] - 1, gamma[1]
+    pad_g = [pop_g] * count_g
+    pop_r, count_r = (r[0] - 1, r[1]) if r else (0, 0)
+    pad_r = [pop_r] * count_r
+    for _ in range(size):
+        if r is not None and word() >> 63:
+            on_gamma.append(False)
+            rows_g.append(pad_g)
+            rows_r.append(flip_indices(pop_r, count_r))
+        else:
+            on_gamma.append(True)
+            rows_g.append(flip_indices(pop_g, count_g))
+            rows_r.append(pad_r)
+        marks.append((pos, half))
+        uniforms.append((word() >> 11) * _UNIT)
+    _seek(bit_generator, start, pos, half)
+    flips_g = np.array(rows_g, dtype=np.int64) + 1
+    flips_r = np.array(rows_r, dtype=np.int64) + 1 if r else None
+    return on_gamma, flips_g, flips_r, uniforms, start, marks
 
 
 def _flip(selected: np.ndarray, flips: np.ndarray, pad: int) -> np.ndarray:
@@ -300,13 +425,12 @@ def _sample_initial(ctx: PosteriorContext, config: MHConfig,
     return LatentState(gamma=gamma, r=r)
 
 
-def run_metropolis_hastings(ctx: PosteriorContext, config: MHConfig,
-                            rng: np.random.Generator | None = None) -> MHTrace:
+def run_metropolis_hastings(ctx: PosteriorContext, config: MHConfig) -> MHTrace:
     """Run one chain; deterministic given (ctx, config, seed)."""
     if config.mode != ctx.mode:
         raise ValidationError(f"config mode {config.mode!r} does not match context {ctx.mode!r}")
-    if rng is None:
-        rng = np.random.default_rng(config.seed)
+    # default_rng's stream; _draw_block decodes PCG64's raw words
+    rng = np.random.Generator(np.random.PCG64(config.seed))
     n = ctx.n
     m = ctx.num_atoms
     if config.flip_gamma > n - 1:
@@ -342,18 +466,9 @@ def run_metropolis_hastings(ctx: PosteriorContext, config: MHConfig,
     while t < total:
         if first == size:
             first, size = 0, min(MAX_BLOCK, total - t, max(1, 3 * (t + 1) // (events + 1)))
-            on_gamma = np.ones(size, dtype=bool)
-            flips_g = np.full((size, config.flip_gamma), n)
-            flips_r = np.full((size, config.flip_r), m) if sp else None
-            saved, uniforms = [], []
-            for j in range(size):
-                if sp and rng.random() >= 0.5:
-                    on_gamma[j] = False
-                    flips_r[j] = _draw_flip_indices(rng, m, config.flip_r)
-                else:
-                    flips_g[j] = _draw_flip_indices(rng, n, config.flip_gamma)
-                saved.append(rng.bit_generator.state)
-                uniforms.append(rng.random())
+            on_gamma, flips_g, flips_r, uniforms, origin, marks = _draw_block(
+                rng.bit_generator, size, (n, config.flip_gamma),
+                (m, config.flip_r) if sp else None)
         g_stack = _flip(gidx, flips_g[first:], n)
         r_stack = _flip(ridx, flips_r[first:], m) if sp else None
         values = evaluate_stack(ctx, g_stack, r_stack).tolist()
@@ -369,7 +484,7 @@ def run_metropolis_hastings(ctx: PosteriorContext, config: MHConfig,
             else:
                 # the sequential kernel draws no uniform here: rewind the
                 # stream to just before it and start a new block
-                rng.bit_generator.state = saved[j]
+                _seek(rng.bit_generator, origin, *marks[j])
                 accept = delta >= 0.0
                 if not accept:
                     neg_inf[target] += 1

@@ -317,22 +317,31 @@ def assert_same_chain(trace, reference):
 
 
 CHAIN_CASES = [
-    # (mode, flip count, duplicated atom)
-    (MODE_SP, 1, False),
-    (MODE_SP, 2, False),
-    (MODE_P, 1, False),
-    (MODE_P, 2, False),
-    (MODE_SP, 1, True),
-    (MODE_SP, 2, True),
+    # (mode, (flip_gamma, flip_r), duplicated atom)
+    (MODE_SP, (1, 1), False),
+    (MODE_SP, (2, 2), False),
+    (MODE_P, (1, 1), False),
+    (MODE_P, (2, 2), False),
+    (MODE_SP, (1, 1), True),
+    (MODE_SP, (2, 2), True),
+    # unequal counts: the words a proposal reads depend on its coin
+    (MODE_SP, (1, 3), False),
 ]
 
 
+def flips_id(value):
+    """Test id of a (flip_gamma, flip_r) pair: one count when they agree."""
+    if isinstance(value, tuple):
+        return str(value[0]) if value[0] == value[1] else "-".join(map(str, value))
+    return None
+
+
 class TestBlockKernel:
-    @pytest.mark.parametrize("mode,flips,duplicate", CHAIN_CASES)
+    @pytest.mark.parametrize("mode,flips,duplicate", CHAIN_CASES, ids=flips_id)
     def test_same_chain_as_sequential_kernel(self, mode, flips, duplicate):
         ctx = chain_context(mode, duplicate)
-        config = MHConfig(total_iterations=3000, burn_in=500, flip_gamma=flips,
-                          flip_r=flips, init_segments=3, init_functions=3, seed=17,
+        config = MHConfig(total_iterations=3000, burn_in=500, flip_gamma=flips[0],
+                          flip_r=flips[1], init_segments=3, init_functions=3, seed=17,
                           mode=mode)
         trace = run_metropolis_hastings(ctx, config)
         reference, neg_inf = sequential_chain(ctx, config)
@@ -366,6 +375,102 @@ class TestBlockKernel:
         np.testing.assert_array_equal(capped.log_density, default.log_density)
         assert capped.neg_inf == default.neg_inf
         assert capped.evaluator_calls > default.evaluator_calls
+
+
+def numpy_block(rng, size, gamma, r):
+    """What ``mh._draw_block`` returns, drawn one Generator call at a time
+    in the sequential chain's order, with the state before each uniform
+    and the state at the end."""
+    on_gamma, rows_g, rows_r, uniforms, before = [], [], [], [], []
+    for _ in range(size):
+        use_gamma = r is None or rng.random() < 0.5
+        flips = mh._draw_flip_indices(rng, *(gamma if use_gamma else r))
+        on_gamma.append(use_gamma)
+        rows_g.append(flips if use_gamma else np.full(gamma[1], gamma[0]))
+        if r is not None:
+            rows_r.append(np.full(r[1], r[0]) if use_gamma else flips)
+        before.append(rng.bit_generator.state)
+        uniforms.append(rng.random())
+    return on_gamma, rows_g, rows_r, uniforms, before, rng.bit_generator.state
+
+
+def stream_position(state):
+    """A PCG64 state without the stale half-word numpy keeps when none
+    is buffered."""
+    return (state["state"]["state"], state["state"]["inc"],
+            state["uinteger"] if state["has_uint32"] else None)
+
+
+# lengths whose flips Lemire's method draws again about a quarter of the
+# time, with 32-bit and with 64-bit draws
+BIG = 3 * 2**30 + 1
+BIG64 = 3 * 2**61 + 1
+
+BLOCK_CASES = [
+    # ((length, count) of gamma, of r or None)
+    ((2, 1), None),                   # a range of 0 draws no word
+    ((101, 1), (124, 2)),
+    ((101, 3), (124, 4)),
+    ((20000, 2), (2, 1)),
+    ((20000, 4), (101, 2)),
+    ((20001, 401), (101, 1)),         # numpy's tail shuffle
+    ((BIG, 1), (BIG, 3)),
+    ((BIG64, 2), (124, 1)),           # 64-bit draws
+]
+
+
+class TestDrawBlock:
+    """The bulk decoder against numpy's own draws on the same seed."""
+
+    @pytest.mark.parametrize("gamma,r", BLOCK_CASES)
+    @pytest.mark.parametrize("buffered", [False, True], ids=["fresh", "buffered"])
+    def test_same_draws_and_state_as_generator_calls(self, gamma, r, buffered):
+        size = 40
+        ours = np.random.Generator(np.random.PCG64(5))
+        theirs = np.random.Generator(np.random.PCG64(5))
+        if buffered:
+            # leaves the high half of a word buffered
+            ours.integers(7)
+            theirs.integers(7)
+        on_gamma, flips_g, flips_r, uniforms, start, marks = mh._draw_block(
+            ours.bit_generator, size, gamma, r)
+        want = numpy_block(theirs, size, gamma, r)
+        assert on_gamma == want[0]
+        np.testing.assert_array_equal(flips_g, np.array(want[1]))
+        if r is None:
+            assert flips_r is None
+        else:
+            np.testing.assert_array_equal(flips_r, np.array(want[2]))
+        assert uniforms == want[3]
+        assert stream_position(ours.bit_generator.state) == stream_position(want[5])
+        # a seek to a mark is the stream of a proposal that draws no uniform
+        probe = np.random.PCG64(0)
+        for mark, before in zip(marks, want[4]):
+            mh._seek(probe, start, *mark)
+            assert stream_position(probe.state) == stream_position(before)
+
+    @pytest.mark.parametrize("length,bits", [(BIG, 32), (BIG64, 64)], ids=["32-bit", "64-bit"])
+    def test_rejections_are_drawn_again(self, length, bits):
+        # without a rejection, each proposal's one flip is one draw
+        size = 64
+        rng = np.random.Generator(np.random.PCG64(5))
+        _, flips, _, _, _, marks = mh._draw_block(rng.bit_generator, size, (length, 1))
+        words, half = marks[-1][0] + 1, marks[-1][1]
+        draws = 2 * (words - size) - (half is not None) if bits == 32 else words - size
+        assert draws > size
+        want = numpy_block(np.random.Generator(np.random.PCG64(5)), size, (length, 1), None)
+        np.testing.assert_array_equal(flips, np.array(want[1]))
+
+    def test_words_beyond_the_first_read_are_drawn(self):
+        # the first read assumes no rejections and 32-bit draws; 64-bit
+        # draws of five flips need more
+        rng = np.random.Generator(np.random.PCG64(9))
+        _, flips, _, uniforms, _, marks = mh._draw_block(rng.bit_generator, 8,
+                                                         (2**40, 5))
+        assert marks[-1][0] + 1 > 8 * (2 + 5)
+        want = numpy_block(np.random.Generator(np.random.PCG64(9)), 8, (2**40, 5), None)
+        np.testing.assert_array_equal(flips, np.array(want[1]))
+        assert uniforms == want[3]
 
 
 def brute_force_states(trace):
