@@ -45,7 +45,6 @@ from .mh import (
     MHTrace,
     inclusion_probabilities,
     intersect_selections,
-    propose_flip,
     run_metropolis_hastings,
     select_median_probability_model,
 )

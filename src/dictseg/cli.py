@@ -20,7 +20,7 @@ import numpy as np
 
 from . import io as dio
 from .benchmark import run_benchmark
-from .config import RunConfig, derive_seeds, load_config, sensitivity_presets
+from .config import RunConfig, load_config, sensitivity_presets
 from .dictionary import (
     DesignMatrix,
     evaluate_dictionary,
@@ -32,8 +32,7 @@ from .dictionary import (
 from .errors import DataError, DictsegError, ValidationError
 from .gibbs import run_gibbs
 from .metrics import functional_metrics, segmentation_metrics
-from .mh import inclusion_probabilities, run_metropolis_hastings, select_median_probability_model
-from .pipeline import build_context, fit_series
+from .pipeline import build_context, search
 from .posterior import MODE_SP
 from .simulate import SeriesTruth, simulate_series
 from .stepmodel import Segmentation, TimeSeries
@@ -130,6 +129,8 @@ def _load_run_config(args) -> RunConfig:
 
 
 def cmd_fit(args) -> int:
+    if args.stage == "gibbs" and not args.selection:
+        raise ValidationError("--stage=gibbs requires --selection")
     cfg = _load_run_config(args)
     series = dio.load_series(args.input)
     design, labels = (None, None)
@@ -142,40 +143,26 @@ def cmd_fit(args) -> int:
 
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    mh_seed, gibbs_seed = derive_seeds(cfg.seed, 2)
-
+    mh_seed, gibbs_seed = cfg.seeds()
+    ctx = build_context(series, hyper, design, cfg.mode)
     if args.stage == "gibbs":
-        if not args.selection:
-            raise ValidationError("--stage=gibbs requires --selection")
+        trace = incl = None
         selection = dio.load_selection(args.selection, series.n,
                                        design.num_atoms if design else None)
-        ctx = build_context(series, hyper, design, cfg.mode)
-        fit = run_gibbs(ctx, selection,
-                        cfg.gibbs_config(seed=gibbs_seed, store_trace=args.save_draws))
-        if fit.trace is not None:
-            fit.trace.export_csv(out_dir / "gibbs_draws.csv")
-        paths = dio.write_results(fit, None, series, out_dir, atom_labels=labels)
-    elif args.stage == "mh":
-        ctx = build_context(series, hyper, design, cfg.mode)
-        trace = run_metropolis_hastings(ctx, cfg.mh_config(seed=mh_seed))
-        incl = inclusion_probabilities(trace, cfg.burn_in)
-        selection = select_median_probability_model(incl)
+    else:
+        trace, incl, selection = search(ctx, cfg.mh_config(seed=mh_seed))
         dio.write_selection(selection, out_dir / "selection.json")
         if args.save_trace:
             trace.export_csv(out_dir / "mh_trace.csv")
-        print(f"wrote selection to {out_dir / 'selection.json'}")
-        return 0
-    else:
-        out = fit_series(series, hyper, cfg.mh_config(seed=mh_seed),
-                         cfg.gibbs_config(seed=gibbs_seed, store_trace=args.save_draws),
-                         design=design)
-        dio.write_selection(out.selection, out_dir / "selection.json")
-        if args.save_trace:
-            out.mh_trace.export_csv(out_dir / "mh_trace.csv")
-        if out.fit.trace is not None:
-            out.fit.trace.export_csv(out_dir / "gibbs_draws.csv")
-        paths = dio.write_results(out.fit, out.mh_trace, series, out_dir,
-                                  atom_labels=labels)
+        if args.stage == "mh":
+            print(f"wrote selection to {out_dir / 'selection.json'}")
+            return 0
+    fit = run_gibbs(ctx, selection,
+                    cfg.gibbs_config(seed=gibbs_seed, store_trace=args.save_draws),
+                    inclusion=incl)
+    if fit.trace is not None:
+        fit.trace.export_csv(out_dir / "gibbs_draws.csv")
+    paths = dio.write_results(fit, trace, series, out_dir, atom_labels=labels)
     print(f"wrote results to {paths['summary']}")
     return 0
 

@@ -9,10 +9,11 @@ init_functions, flip_gamma, flip_r, seed, mode, dictionary.
 from __future__ import annotations
 
 from dataclasses import dataclass, fields, replace
+from typing import get_type_hints
 
 import numpy as np
 
-from .errors import DataError, ValidationError
+from .errors import DataError
 from .gibbs import GibbsConfig
 from .mh import MHConfig
 from .posterior import MODE_P, MODE_SP, Hyperparameters
@@ -37,12 +38,9 @@ class RunConfig:
     dictionary: str = "simulation_n100:point100"
 
     def validate(self) -> "RunConfig":
-        """Check the prior scales here and every sampler setting by
-        building the two stages' configs."""
-        if self.c1 <= 0 or self.c2 <= 0:
-            raise ValidationError("c1 and c2 must be positive")
-        if not 0 <= self.pi <= 1 or not 0 <= self.eta <= 1:
-            raise ValidationError("pi and eta must lie in [0, 1]")
+        """Check every setting by building the prior and the two stages'
+        configs from it."""
+        Hyperparameters.flat(2, 2, c1=self.c1, c2=self.c2, pi=self.pi, eta=self.eta)
         self.mh_config()
         self.gibbs_config()
         return self
@@ -94,10 +92,8 @@ def derive_seeds(master_seed: int, count: int) -> list[int]:
     return [int(c.generate_state(1, np.uint64)[0]) for c in children]
 
 
-_INT_KEYS = {"iterations", "burn_in", "gibbs_iterations", "gibbs_burn_in",
-             "init_segments", "init_functions", "flip_gamma", "flip_r", "seed"}
-_FLOAT_KEYS = {"c1", "c2", "pi", "eta"}
-_STR_KEYS = {"mode", "dictionary"}
+# each key's parser is its field's type: int, float or str
+_KEY_TYPES = get_type_hints(RunConfig)
 
 
 def parse_config(text: str, base: RunConfig | None = None) -> RunConfig:
@@ -110,15 +106,10 @@ def parse_config(text: str, base: RunConfig | None = None) -> RunConfig:
         if "=" not in line:
             raise DataError(f"config line {lineno}: expected 'key = value', got {raw!r}")
         key, value = (s.strip() for s in line.split("=", 1))
+        if key not in _KEY_TYPES:
+            raise DataError(f"config line {lineno}: unknown key {key!r}")
         try:
-            if key in _INT_KEYS:
-                overrides[key] = int(value)
-            elif key in _FLOAT_KEYS:
-                overrides[key] = float(value)
-            elif key in _STR_KEYS:
-                overrides[key] = value
-            else:
-                raise DataError(f"config line {lineno}: unknown key {key!r}")
+            overrides[key] = _KEY_TYPES[key](value)
         except ValueError as exc:
             raise DataError(f"config line {lineno}: bad value for {key!r}: {exc}") from exc
     return replace(cfg, **overrides).validate()

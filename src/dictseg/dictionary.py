@@ -88,7 +88,7 @@ class Atom:
             amp = 2.0 ** (p["scale"] / 2.0)
             return np.where((arg >= 0.0) & (arg <= 1.0), amp, 0.0)
         if self.kind == "point_indicator":
-            return np.where(np.isclose(x, p["location"], rtol=0.0, atol=1e-9), 1.0, 0.0)
+            return np.where(np.abs(x - p["location"]) <= 1e-9, 1.0, 0.0)
         return np.asarray(self.fn(x), dtype=float)
 
 

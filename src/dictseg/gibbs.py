@@ -209,7 +209,6 @@ def _mapped_empty(rows: int, cols: int) -> np.ndarray:
 
 
 def run_gibbs(ctx: PosteriorContext, selection: LatentState, config: GibbsConfig,
-              rng: np.random.Generator | None = None,
               inclusion: InclusionProbabilities | None = None) -> FitResult:
     """Exact posterior means for the selected model.
 
@@ -266,8 +265,7 @@ def run_gibbs(ctx: PosteriorContext, selection: LatentState, config: GibbsConfig
     atoms = tuple(int(a) for a in r_idx + 1) if sp else None
     trace = None
     if config.store_trace:
-        if rng is None:
-            rng = np.random.default_rng(config.seed)
+        rng = np.random.default_rng(config.seed)
         draws = _mapped_empty(config.total_iterations, d_g + d_r)
         sigma2 = np.empty(config.total_iterations)
         mu_scale = np.sqrt(s1 * inv_len)

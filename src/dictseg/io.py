@@ -156,17 +156,17 @@ def write_results(fit: FitResult, trace: MHTrace, series: TimeSeries,
                                      int(j + 1 in selected_atoms)])
 
         mu_hat = fit.mean_path(series.n)
+        columns = {"y": series.values, "mu_hat": mu_hat}
+        if sp:
+            columns["f_hat"] = fit.f_hat
+        columns["fit"] = mu_hat + fit.f_hat if sp else mu_hat
+        rows = zip(map(str, range(1, series.n + 1)),
+                   *(map(repr, map(float, col)) for col in columns.values()))
         with open(paths["reconstruction"], "w") as fh:
-            if sp:
-                fh.write("t,y,mu_hat,f_hat,fit\n")
-                for t in range(series.n):
-                    fh.write(f"{t + 1},{float(series.values[t])!r},{float(mu_hat[t])!r},"
-                             f"{float(fit.f_hat[t])!r},{float(mu_hat[t] + fit.f_hat[t])!r}\n")
-            else:
-                fh.write("t,y,mu_hat,fit\n")
-                for t in range(series.n):
-                    fh.write(f"{t + 1},{float(series.values[t])!r},"
-                             f"{float(mu_hat[t])!r},{float(mu_hat[t])!r}\n")
+            fh.write(",".join(["t", *columns]) + "\n")
+            # row by row: all rows of a 20000-point series formatted at
+            # once hold about 7 MB of strings
+            fh.writelines(",".join(row) + "\n" for row in rows)
 
         summary = {
             "mode": fit.mode,

@@ -244,27 +244,6 @@ def _flip(selected: np.ndarray, flips: np.ndarray, pad: int) -> np.ndarray:
     return rows[:, :(rows < pad).sum(axis=1).max()]
 
 
-def propose_flip(state: LatentState, which: str, count: int,
-                 rng: np.random.Generator) -> LatentState:
-    """Flip ``count`` distinct bits of one vector; bit 1 never flips.
-
-    Involutive in the chosen index set, hence a symmetric kernel.  The
-    sampler draws and applies its proposals with the same two routines.
-    """
-    if which not in ("gamma", "r"):
-        raise ValidationError("which must be 'gamma' or 'r'")
-    if which == "r" and state.r is None:
-        raise ValidationError("state has no atom component to flip")
-    bits = state.gamma if which == "gamma" else state.r
-    idx = _draw_flip_indices(rng, len(bits), count)
-    selected = _flip(np.flatnonzero(bits), idx[None], len(bits))[0]
-    out = np.zeros_like(bits)
-    out[selected[selected < len(bits)]] = True
-    if which == "gamma":
-        return LatentState(gamma=out, r=state.r)
-    return LatentState(gamma=state.gamma, r=out)
-
-
 class MHTrace:
     """Initial state plus the log of accepted flips of one chain."""
 

@@ -39,12 +39,19 @@ def build_context(series: TimeSeries, hyper: Hyperparameters,
     return PosteriorContext(series, hyper, design if mode == MODE_SP else None, mode)
 
 
+def search(ctx: PosteriorContext, mh_config: MHConfig
+           ) -> tuple[MHTrace, InclusionProbabilities, LatentState]:
+    """Stage one: the chain, its post-burn-in inclusion probabilities and
+    the median-probability model they select."""
+    trace = run_metropolis_hastings(ctx, mh_config)
+    incl = inclusion_probabilities(trace, mh_config.burn_in)
+    return trace, incl, select_median_probability_model(incl)
+
+
 def fit_series(series: TimeSeries, hyper: Hyperparameters,
                mh_config: MHConfig, gibbs_config: GibbsConfig,
                design: DesignMatrix | None = None) -> FitOutput:
     ctx = build_context(series, hyper, design, mh_config.mode)
-    trace = run_metropolis_hastings(ctx, mh_config)
-    incl = inclusion_probabilities(trace, mh_config.burn_in)
-    selection = select_median_probability_model(incl)
+    trace, incl, selection = search(ctx, mh_config)
     fit = run_gibbs(ctx, selection, gibbs_config, inclusion=incl)
     return FitOutput(fit=fit, mh_trace=trace, inclusion=incl, selection=selection)

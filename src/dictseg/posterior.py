@@ -83,21 +83,21 @@ class Hyperparameters:
     eta: np.ndarray | None = None
 
     def __post_init__(self):
-        if self.c1 <= 0:
+        if not self.c1 > 0:
             raise ValidationError("c1 must be positive")
         pi = np.asarray(self.pi, dtype=float)
         if pi[0] != 1.0:
             raise ValidationError("pi[1] must equal 1 (first position pinned)")
-        if np.any((pi < 0) | (pi > 1)):
+        if not np.all((pi >= 0) & (pi <= 1)):
             raise ValidationError("pi entries must lie in [0, 1]")
         object.__setattr__(self, "pi", pi)
         if self.eta is not None:
-            if self.c2 is None or self.c2 <= 0:
+            if self.c2 is None or not self.c2 > 0:
                 raise ValidationError("c2 must be positive when eta is given")
             eta = np.asarray(self.eta, dtype=float)
             if eta[0] != 1.0:
                 raise ValidationError("eta[1] must equal 1 (constant atom pinned)")
-            if np.any((eta < 0) | (eta > 1)):
+            if not np.all((eta >= 0) & (eta <= 1)):
                 raise ValidationError("eta entries must lie in [0, 1]")
             object.__setattr__(self, "eta", eta)
 

@@ -87,15 +87,7 @@ def simulate_series(n: int, sigma: float,
         raise ValidationError("need n >= 25 to satisfy the layout constraints")
     if sigma < 0:
         raise ValidationError("sigma must be nonnegative")
-    segmentation = Segmentation(change_points=_draw_change_points(n, rng),
-                                means=_draw_means(rng))
-    f = disturbance(n)
-    noise = rng.normal(0.0, sigma, size=n) if sigma > 0 else np.zeros(n)
-    values = segmentation.mean_path(n) + f + noise
-    series = TimeSeries(values=values)
-    truth = SeriesTruth(segmentation=segmentation, f_true=f, sigma=float(sigma),
-                        true_atom_indices=true_atom_indices(n), noise=noise)
-    return series, truth
+    return make_series(n, _draw_change_points(n, rng), _draw_means(rng), sigma, rng)
 
 
 def make_series(n: int, change_points, means, sigma: float,

@@ -17,6 +17,7 @@ from dictseg import (
     TimeSeries,
     evaluate_dictionary,
 )
+from dictseg import mh
 
 
 def make_state(gamma_positions, n, atom_indices=None, num_atoms=None):
@@ -28,6 +29,23 @@ def make_state(gamma_positions, n, atom_indices=None, num_atoms=None):
         r = np.zeros(num_atoms, dtype=bool)
         r[np.asarray(atom_indices, dtype=int) - 1] = True
     return LatentState(gamma=gamma, r=r)
+
+
+def proposal_hits(seed, trials):
+    """Forward and backward hits between the gamma states {1, 3} and
+    {1, 4} at n = 8 over ``trials`` 2-bit proposals each, drawn and
+    applied as the kernel does from one PCG64 stream.  The states differ
+    in two free bits, so each direction hits with probability 1/C(7, 2)."""
+    n, states = 8, ([1, 3], [1, 4])
+    bit_generator = np.random.PCG64(seed)
+    hits = []
+    for start, end in (states, states[::-1]):
+        flips = mh._draw_block(bit_generator, trials, (n, 2))[1]
+        rows = mh._flip(np.asarray(start) - 1, flips, n)
+        bits = np.zeros((trials, n + 1), dtype=bool)
+        np.put_along_axis(bits, rows, True, axis=1)
+        hits.append(int((bits[:, :n] == make_state(end, n).gamma).all(axis=1).sum()))
+    return hits
 
 
 def small_dictionary():

@@ -37,14 +37,13 @@ from dictseg import (
     inclusion_probabilities,
     log_integrated_posterior,
     make_series,
-    propose_flip,
     run_benchmark,
     run_metropolis_hastings,
     select_median_probability_model,
     simulation_dictionary,
 )
 from dictseg.config import derive_seeds
-from conftest import make_state, random_instance, small_context
+from conftest import make_state, proposal_hits, random_instance, small_context
 from oracles import log_integrated_posterior_dense, log_posterior_quadrature
 
 N = 100
@@ -377,22 +376,19 @@ def test_criterion_8_determinism_and_invariances(rng):
                   - log_integrated_posterior(s_b, scaled))
             worst_scale = max(worst_scale, abs(d0 - d1))
 
-    # proposal symmetry by Monte Carlo: 5e5 draws in each direction
-    n = 8
-    s = make_state([1, 3], n)
-    s_prime = make_state([1, 4, 6], n)
+    # proposal symmetry by Monte Carlo: 5e5 kernel proposals in each
+    # direction between {1, 3} and {1, 4} at n = 8, two free bits apart
     trials = 500_000
-    gen = np.random.default_rng(2024)
-    fwd = sum(np.array_equal(propose_flip(s, "gamma", 2, gen).gamma, s_prime.gamma)
-              for _ in range(trials))
-    bwd = sum(np.array_equal(propose_flip(s_prime, "gamma", 2, gen).gamma, s.gamma)
-              for _ in range(trials))
+    fwd, bwd = proposal_hits(2024, trials)
     p = 1.0 / 21.0
+    rate_se = np.sqrt(p * (1 - p) / trials)
+    rates_ok = all(abs(hits / trials - p) <= 4 * rate_se for hits in (fwd, bwd))
     sym_se = np.sqrt(2 * p * (1 - p) / trials)
     sym_gap = abs(fwd - bwd) / trials
 
-    ok = identical and worst_scale <= 1e-10 and sym_gap <= 3 * sym_se
+    ok = identical and worst_scale <= 1e-10 and rates_ok and sym_gap <= 3 * sym_se
     report(8, ok,
            f"byte-identical traces: {identical}; ratio drift under data "
-           f"scaling: {worst_scale:.2e} (tol 1e-10); proposal symmetry gap "
-           f"{sym_gap:.2e} vs 3se = {3 * sym_se:.2e} over 2x{trials} draws")
+           f"scaling: {worst_scale:.2e} (tol 1e-10); proposal rates "
+           f"{fwd / trials:.4f} and {bwd / trials:.4f} vs 1/21 (4se = {4 * rate_se:.1e}); "
+           f"symmetry gap {sym_gap:.2e} vs 3se = {3 * sym_se:.2e} over 2x{trials} draws")

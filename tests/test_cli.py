@@ -77,6 +77,28 @@ class TestFitAndMetrics:
         summary = json.loads((stage_dir / "summary.json").read_text())
         assert summary["mode"] == "p"
 
+    @pytest.mark.parametrize("mode", ["sp", "p"])
+    def test_staged_fit_equals_one_shot(self, workspace, mode):
+        series = workspace / "series.csv"
+        assert main(["simulate", "--n", "100", "--sigma", "0.5", "--seed", "3",
+                     "--out", str(series)]) == 0
+        args = ["fit", "--input", str(series), "--mode", mode,
+                "--config", str(workspace / "fast.cfg"), "--seed", "5"]
+        one, staged = workspace / "one", workspace / "staged"
+        assert main(args + ["--out-dir", str(one), "--save-trace", "--save-draws"]) == 0
+        assert main(args + ["--out-dir", str(staged), "--stage", "mh", "--save-trace"]) == 0
+        assert main(args + ["--out-dir", str(staged), "--stage", "gibbs", "--save-draws",
+                            "--selection", str(staged / "selection.json")]) == 0
+        for name in ("selection.json", "mh_trace.csv", "reconstruction.csv",
+                     "gibbs_draws.csv"):
+            assert (staged / name).read_bytes() == (one / name).read_bytes(), name
+        # the coefficient stage alone has no search to report on
+        want = json.loads((one / "summary.json").read_text())
+        got = json.loads((staged / "summary.json").read_text())
+        assert got.pop("acceptance") == {"overall": None, "gamma": None, "by_block": None}
+        assert want.pop("acceptance")["overall"] is not None
+        assert got == want
+
     def test_gibbs_stage_requires_selection(self, workspace, capsys):
         series = workspace / "series.csv"
         main(["simulate", "--n", "60", "--sigma", "0.1", "--seed", "4",

@@ -45,8 +45,11 @@ class TestRunConfig:
     def test_validation(self):
         with pytest.raises(ValidationError):
             RunConfig(burn_in=30000).validate()
-        with pytest.raises(ValidationError):
-            RunConfig(c1=-1).validate()
+        nan = float("nan")
+        for prior in ({"c1": -1}, {"c2": 0}, {"pi": 1.5}, {"eta": -0.1},
+                      {"c1": nan}, {"c2": nan}, {"pi": nan}, {"eta": nan}):
+            with pytest.raises(ValidationError):
+                RunConfig(**prior).validate()
         with pytest.raises(ValidationError):
             RunConfig(mode="both").validate()
 

@@ -20,70 +20,61 @@ from dictseg import (
     inclusion_probabilities,
     intersect_selections,
     log_integrated_posterior,
-    propose_flip,
     run_metropolis_hastings,
     select_median_probability_model,
 )
-from conftest import make_state, small_context
+from conftest import make_state, proposal_hits, small_context
 from oracles import sequential_chain
 
 
-class FixedChoiceRNG:
-    """Stands in for a Generator when the flip indices are forced."""
-
-    def __init__(self, one_based):
-        self.one_based = np.asarray(one_based)
-
-    def choice(self, length, size, replace):
-        assert size == len(self.one_based)
-        # _draw_flip_indices maps its draw j to vector index j + 1, so the
-        # 1-based position p needs j = p - 2
-        return self.one_based - 2
-
-
 class TestProposeFlip:
+    """The kernel's proposals: ``_draw_block`` rows applied by ``_flip``."""
+
     def test_defined_flip(self):
-        state = make_state([1], 4, [1], 3)
-        rng = FixedChoiceRNG([2, 4])
-        out = propose_flip(state, "gamma", 2, rng)
-        np.testing.assert_array_equal(out.gamma, [True, True, False, True])
+        # positions {1, 3} of 6; rows flip {2, 4}, {3, 5} and nothing (padding)
+        rows = mh._flip(np.array([0, 2]), np.array([[1, 3], [2, 4], [6, 6]]), 6)
+        np.testing.assert_array_equal(rows, [[0, 1, 2, 3], [0, 4, 6, 6], [0, 2, 6, 6]])
 
     def test_involution(self):
-        state = make_state([1, 3], 6, [1], 3)
-        rng = FixedChoiceRNG([3, 5])
-        once = propose_flip(state, "gamma", 2, rng)
-        twice = propose_flip(once, "gamma", 2, FixedChoiceRNG([3, 5]))
-        np.testing.assert_array_equal(twice.gamma, state.gamma)
+        selected = np.array([0, 2, 3])
+        flips = mh._draw_block(np.random.PCG64(3), 200, (8, 3))[1]
+        once = mh._flip(selected, flips, 8)
+        for row, flip in zip(once, flips):
+            twice = mh._flip(row[row < 8], flip[None], 8)[0]
+            np.testing.assert_array_equal(twice[twice < 8], selected)
 
     def test_first_bit_never_flips(self):
-        state = make_state([1], 6, [1], 3)
-        rng = np.random.default_rng(0)
-        for _ in range(500):
-            out = propose_flip(state, "gamma", 3, rng)
-            assert out.gamma[0]
-            out = propose_flip(state, "r", 1, rng)
-            assert out.r[0]
+        on_gamma, flips_g, flips_r, *_ = mh._draw_block(np.random.PCG64(0), 500,
+                                                        (6, 3), (4, 1))
+        on_gamma = np.array(on_gamma)
+        assert on_gamma.any() and not on_gamma.all()
+        # padding rows hold the vector's length; the others every free bit
+        assert (flips_g[~on_gamma] == 6).all() and (flips_r[on_gamma] == 4).all()
+        assert set(flips_g[on_gamma].ravel()) == {1, 2, 3, 4, 5}
+        assert set(flips_r[~on_gamma].ravel()) == {1, 2, 3}
 
     def test_count_out_of_range(self):
-        state = make_state([1], 4, [1], 3)
-        with pytest.raises(ValidationError):
-            propose_flip(state, "gamma", 4, np.random.default_rng(0))
+        ctx = small_context(n=12)  # M = 3
+        for flips in ({"flip_gamma": 12}, {"flip_r": 3}):
+            config = MHConfig(total_iterations=5, burn_in=1, init_segments=2,
+                              init_functions=2, mode=MODE_SP, **flips)
+            with pytest.raises(ValidationError, match="exceeds"):
+                run_metropolis_hastings(ctx, config)
+        # every free bit at once is allowed; mode p has no atoms to flip
+        run_metropolis_hastings(ctx, MHConfig(total_iterations=5, burn_in=1, flip_gamma=11,
+                                              flip_r=2, mode=MODE_SP))
+        run_metropolis_hastings(small_context(n=12, mode=MODE_P),
+                                MHConfig(total_iterations=5, burn_in=1, flip_r=3,
+                                         mode=MODE_P))
 
     def test_empirical_symmetry(self):
-        # s and s_prime differ in exactly two free bits; the forward and
+        # {1, 3} and {1, 4} differ in two free bits; the forward and
         # backward proposal frequencies agree within 3 standard errors
-        n = 8
-        s = make_state([1, 3], n)
-        s_prime = make_state([1, 4, 6], n)
         trials = 200_000
-        rng = np.random.default_rng(11)
-        hits_fwd = sum(
-            np.array_equal(propose_flip(s, "gamma", 2, rng).gamma, s_prime.gamma)
-            for _ in range(trials))
-        hits_bwd = sum(
-            np.array_equal(propose_flip(s_prime, "gamma", 2, rng).gamma, s.gamma)
-            for _ in range(trials))
+        hits_fwd, hits_bwd = proposal_hits(11, trials)
         p = 1.0 / 21.0  # C(7, 2) index pairs
+        for hits in (hits_fwd, hits_bwd):
+            assert abs(hits / trials - p) <= 4 * np.sqrt(p * (1 - p) / trials)
         se = np.sqrt(2 * p * (1 - p) / trials)
         assert abs(hits_fwd - hits_bwd) / trials <= 3 * se
 
