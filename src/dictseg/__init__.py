@@ -11,15 +11,12 @@ means are computed in closed form.
 from .benchmark import BenchmarkReport, ReplicateRow, run_benchmark
 from .config import RunConfig, derive_seeds, load_config, parse_config, sensitivity_presets, serialize_config
 from .dictionary import (
-    Atom,
     DesignMatrix,
-    Dictionary,
-    atom_label,
-    evaluate_dictionary,
-    exchange_dictionary,
-    fourier_period_floor_dictionary,
+    exchange_design,
+    fourier_design,
     load_design_matrix,
-    simulation_dictionary,
+    resolve_design,
+    simulation_design,
 )
 from .errors import ComputeError, DataError, DictsegError, ValidationError
 from .gibbs import (

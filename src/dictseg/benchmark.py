@@ -13,12 +13,12 @@ from __future__ import annotations
 import json
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .config import RunConfig, derive_seeds
-from .dictionary import evaluate_dictionary, simulation_dictionary
+from .dictionary import resolve_design
 from .errors import ValidationError
 from .metrics import functional_metrics, segmentation_metrics
 from .pipeline import fit_series
@@ -94,20 +94,16 @@ class BenchmarkReport:
 
 
 def _fit_one(task) -> ReplicateRow:
-    (sigma, method, replicate, sim_seed, fit_seed, n, family, cfg_kw) = task
-    base = replace(RunConfig(), **cfg_kw)
-    row = dict(sigma=sigma, method=method, replicate=replicate,
-               sim_seed=sim_seed, fit_seed=fit_seed)
+    sigma, replicate, sim_seed, n, cfg = task
+    row = dict(sigma=sigma, method=cfg.mode, replicate=replicate,
+               sim_seed=sim_seed, fit_seed=cfg.seed)
     try:
         series, truth = simulate_series(n, sigma, np.random.default_rng(sim_seed))
-        cfg = replace(base, mode=method)
         design = None
         if cfg.mode == MODE_SP:
-            design = evaluate_dictionary(simulation_dictionary(n, family=family),
-                                         series.covariate)
-        num_atoms = design.num_atoms if design is not None else None
-        hyper = cfg.hyperparameters(series.n, num_atoms)
-        mh_seed, gibbs_seed = derive_seeds(fit_seed, 2)
+            design, _ = resolve_design(cfg.dictionary, series)
+        hyper = cfg.hyperparameters(series.n, design.num_atoms if design else None)
+        mh_seed, gibbs_seed = cfg.seeds()
         start = time.perf_counter()
         out = fit_series(series, hyper, cfg.mh_config(seed=mh_seed),
                          cfg.gibbs_config(seed=gibbs_seed, store_trace=False),
@@ -138,19 +134,18 @@ def run_benchmark(levels, replicates: int, methods=("sp", "p"),
     if not methods or len(set(methods)) != len(methods) or not set(methods) <= {MODE_SP, MODE_P}:
         raise ValidationError(f"methods must be distinct names among '{MODE_SP}' and "
                               f"'{MODE_P}', got {methods}")
-    config = (config or RunConfig.default()).validate()
-    cfg_kw = {f.name: getattr(config, f.name) for f in fields(RunConfig)}
+    config = replace((config or RunConfig.default()).validate(),
+                     dictionary=f"simulation_n100:{family}")
 
     tasks = []
     pair_seeds = derive_seeds(master_seed, len(levels) * replicates)
     for i, sigma in enumerate(levels):
         for rep in range(replicates):
-            pair_seed = pair_seeds[i * replicates + rep]
-            child = derive_seeds(pair_seed, 1 + len(methods))
-            sim_seed = child[0]
-            for m, method in enumerate(methods):
-                tasks.append((float(sigma), method, rep, sim_seed,
-                              child[1 + m], n, family, cfg_kw))
+            sim_seed, *fit_seeds = derive_seeds(pair_seeds[i * replicates + rep],
+                                                1 + len(methods))
+            for method, fit_seed in zip(methods, fit_seeds):
+                tasks.append((float(sigma), rep, sim_seed, n,
+                              replace(config, mode=method, seed=fit_seed)))
 
     if n_jobs > 1:
         with ProcessPoolExecutor(max_workers=n_jobs) as pool:

@@ -21,14 +21,7 @@ import numpy as np
 from . import io as dio
 from .benchmark import run_benchmark
 from .config import RunConfig, load_config, sensitivity_presets
-from .dictionary import (
-    DesignMatrix,
-    evaluate_dictionary,
-    exchange_dictionary,
-    fourier_period_floor_dictionary,
-    load_design_matrix,
-    simulation_dictionary,
-)
+from .dictionary import resolve_design
 from .errors import DataError, DictsegError, ValidationError
 from .gibbs import run_gibbs
 from .metrics import functional_metrics, segmentation_metrics
@@ -36,37 +29,6 @@ from .pipeline import build_context, search
 from .posterior import MODE_SP
 from .simulate import SeriesTruth, simulate_series
 from .stepmodel import Segmentation, TimeSeries
-
-
-def resolve_design(spec: str, series: TimeSeries) -> tuple[DesignMatrix, tuple[str, ...]]:
-    """Design matrix for a dictionary spec string.
-
-    Accepted forms: ``simulation_n100`` (optionally ``:haar128`` or
-    ``:point100``), ``exchange``, ``fourier:floor=<weeks>``,
-    ``file:<path>``.
-    """
-    if spec.startswith("file:"):
-        design = load_design_matrix(spec[5:])
-        if design.n != series.n:
-            raise DataError(f"design has {design.n} rows, series has {series.n}")
-        return design, design.labels
-    if spec.startswith("fourier"):
-        floor = 8.0
-        if ":" in spec:
-            key, _, value = spec.partition(":")[2].partition("=")
-            if key != "floor":
-                raise ValidationError(f"unknown fourier option {key!r}")
-            floor = float(value)
-        span = float(series.covariate[-1] - series.covariate[0])
-        dictionary = fourier_period_floor_dictionary(span, floor)
-    elif spec.startswith("simulation_n100"):
-        family = spec.partition(":")[2] or "haar128"
-        dictionary = simulation_dictionary(series.n, family=family)
-    elif spec == "exchange":
-        dictionary = exchange_dictionary(series.n)
-    else:
-        raise ValidationError(f"unknown dictionary spec {spec!r}")
-    return evaluate_dictionary(dictionary, series.covariate), dictionary.labels()
 
 
 def _truth_payload(truth: SeriesTruth, n: int) -> dict:
@@ -167,14 +129,22 @@ def cmd_fit(args) -> int:
     return 0
 
 
-def cmd_metrics(args) -> int:
+def _load_json(path, keys: tuple[str, ...]) -> dict:
+    """A JSON object that holds every key in ``keys``."""
     try:
-        with open(args.estimate) as fh:
-            est = json.load(fh)
-        with open(args.truth) as fh:
-            tru = json.load(fh)
+        with open(path) as fh:
+            payload = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
         raise DataError(f"cannot read inputs: {exc}") from exc
+    missing = [k for k in keys if k not in payload] if isinstance(payload, dict) else keys
+    if missing:
+        raise DataError(f"{path} lacks {', '.join(missing)}")
+    return payload
+
+
+def cmd_metrics(args) -> int:
+    est = _load_json(args.estimate, ("change_points", "means"))
+    tru = _load_json(args.truth, ("n", "change_points", "means"))
     n = int(tru["n"])
     truth_seg = Segmentation(change_points=tuple(tru["change_points"]),
                              means=tuple(tru["means"]))
@@ -301,8 +271,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.handler(args)
-    except DictsegError as exc:
-        print(f"error ({exc.category}): {exc}", file=sys.stderr)
+    except (DictsegError, OSError) as exc:
+        # a failed output write is a data error, as a failed read is
+        print(f"error ({getattr(exc, 'category', 'data')}): {exc}", file=sys.stderr)
         return 2
 
 

@@ -1,142 +1,23 @@
-"""Atom families and their evaluation into the regression design matrix.
+"""Design matrices of the built-in dictionary families and of custom files.
 
-A dictionary is an ordered list of atoms, the first one always the
-constant function (it plays the role of the pinned intercept, mirroring
-the always-selected first step position).  Presets cover the built-in
-families; arbitrary designs can be ingested from a delimited text file.
+A design matrix holds one column per atom evaluated on the covariate
+grid, the first one always the constant function (it plays the role of
+the pinned intercept, mirroring the always-selected first step
+position).  Each preset builds its matrix from the covariate, one array
+expression per atom family; arbitrary designs can be ingested from a
+delimited text file.  ``resolve_design`` maps a dictionary spec string
+to its design.
 """
 
 from __future__ import annotations
 
 import csv
 from dataclasses import dataclass
-from typing import Callable, Mapping
 
 import numpy as np
 
 from .errors import DataError, ValidationError
-
-AtomFn = Callable[[np.ndarray], np.ndarray]
-
-_KINDS = {"constant", "haar", "point_indicator", "sine", "cosine", "poly", "custom"}
-
-
-@dataclass(frozen=True)
-class Atom:
-    kind: str
-    params: Mapping[str, float] | None = None
-    label: str | None = None
-    fn: AtomFn | None = None
-
-    def __post_init__(self):
-        if self.kind not in _KINDS:
-            raise ValidationError(f"unknown atom kind {self.kind!r}")
-        params = dict(self.params or {})
-        if self.kind in ("sine", "cosine"):
-            if params.get("frequency", 0.0) <= 0:
-                raise ValidationError("frequency must be positive")
-        elif self.kind == "poly":
-            if int(params.get("degree", 0)) < 1:
-                raise ValidationError("polynomial degree must be >= 1")
-        elif self.kind == "haar":
-            scale = int(params.get("scale", -1))
-            shift = int(params.get("shift", -1))
-            if scale < 0:
-                raise ValidationError("haar scale must be >= 0")
-            if not (0 <= shift <= 2**scale - 1):
-                raise ValidationError(f"haar shift must lie in [0, {2 ** scale - 1}]")
-            params.setdefault("length", 1.0)
-        elif self.kind == "point_indicator":
-            if "location" not in params:
-                raise ValidationError("point indicator needs a location")
-        elif self.kind == "custom" and self.fn is None:
-            raise ValidationError("custom atom needs a callable")
-        object.__setattr__(self, "params", params)
-        if self.label is None:
-            object.__setattr__(self, "label", self._default_label())
-
-    def _default_label(self) -> str:
-        p = self.params
-        if self.kind == "constant":
-            return "constant term"
-        if self.kind == "sine":
-            return f"sin(2π×{p['frequency']:g}×t)"
-        if self.kind == "cosine":
-            return f"cos(2π×{p['frequency']:g}×t)"
-        if self.kind == "poly":
-            d = int(p["degree"])
-            return "t" if d == 1 else f"t^{d}"
-        if self.kind == "haar":
-            return f"Haar scale={int(p['scale'])} shift={int(p['shift'])}"
-        if self.kind == "point_indicator":
-            return f"indicator(t={p['location']:g})"
-        return "custom"
-
-    def evaluate(self, x: np.ndarray) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        p = self.params
-        if self.kind == "constant":
-            return np.ones_like(x)
-        if self.kind == "sine":
-            return np.sin(2.0 * np.pi * p["frequency"] * x)
-        if self.kind == "cosine":
-            return np.cos(2.0 * np.pi * p["frequency"] * x)
-        if self.kind == "poly":
-            return x ** int(p["degree"])
-        if self.kind == "haar":
-            arg = (2.0 ** p["scale"]) * x / p["length"] - p["shift"]
-            amp = 2.0 ** (p["scale"] / 2.0)
-            return np.where((arg >= 0.0) & (arg <= 1.0), amp, 0.0)
-        if self.kind == "point_indicator":
-            return np.where(np.abs(x - p["location"]) <= 1e-9, 1.0, 0.0)
-        return np.asarray(self.fn(x), dtype=float)
-
-
-def constant_atom() -> Atom:
-    return Atom("constant")
-
-
-def sine_atom(frequency: float, label: str | None = None) -> Atom:
-    return Atom("sine", {"frequency": frequency}, label=label)
-
-
-def cosine_atom(frequency: float, label: str | None = None) -> Atom:
-    return Atom("cosine", {"frequency": frequency}, label=label)
-
-
-def poly_atom(degree: int) -> Atom:
-    return Atom("poly", {"degree": degree})
-
-
-def haar_atom(scale: int, shift: int, length: float) -> Atom:
-    return Atom("haar", {"scale": scale, "shift": shift, "length": length})
-
-
-def point_atom(location: int, label: str | None = None) -> Atom:
-    return Atom("point_indicator", {"location": float(location)}, label=label)
-
-
-@dataclass(frozen=True)
-class Dictionary:
-    """Ordered atom family; atom 1 is always the constant function."""
-
-    atoms: tuple[Atom, ...]
-    name: str = "custom"
-
-    def __post_init__(self):
-        atoms = tuple(self.atoms)
-        if not atoms:
-            raise ValidationError("dictionary must contain at least one atom")
-        if atoms[0].kind != "constant":
-            raise ValidationError("first atom must be the constant function")
-        object.__setattr__(self, "atoms", atoms)
-
-    @property
-    def size(self) -> int:
-        return len(self.atoms)
-
-    def labels(self) -> tuple[str, ...]:
-        return tuple(a.label for a in self.atoms)
+from .stepmodel import TimeSeries
 
 
 @dataclass(frozen=True)
@@ -148,8 +29,8 @@ class DesignMatrix:
 
     def __post_init__(self):
         F = np.asarray(self.matrix, dtype=float)
-        if F.ndim != 2:
-            raise ValidationError("design matrix must be 2-dimensional")
+        if F.ndim != 2 or F.shape[1] == 0:
+            raise ValidationError("design matrix must be 2-dimensional with a column or more")
         if not np.all(np.isfinite(F)):
             raise ValidationError("design matrix entries must be finite")
         if not np.allclose(F[:, 0], 1.0):
@@ -169,37 +50,37 @@ class DesignMatrix:
         return self.matrix.shape[1]
 
 
-def evaluate_dictionary(dictionary: Dictionary, covariate) -> DesignMatrix:
-    """Evaluate every atom on the covariate grid."""
+def _covariate(covariate) -> np.ndarray:
     x = np.asarray(covariate, dtype=float)
     if not np.all(np.isfinite(x)):
         raise ValidationError("covariate must be finite")
-    F = np.column_stack([atom.evaluate(x) for atom in dictionary.atoms])
-    return DesignMatrix(matrix=F, labels=dictionary.labels())
+    return x
 
 
-def atom_label(dictionary: Dictionary, index: int) -> str:
-    """Label of the atom at the given 1-based index."""
-    if not 1 <= index <= dictionary.size:
-        raise ValidationError(f"atom index {index} out of range [1, {dictionary.size}]")
-    return dictionary.atoms[index - 1].label
+def _fill_fourier(F: np.ndarray, x: np.ndarray, frequencies: np.ndarray) -> None:
+    """sin(2π·f·x) and cos(2π·f·x) for each frequency f, pair by pair,
+    into the columns of F."""
+    arg = x[:, None] * (2.0 * np.pi * frequencies)
+    F[:, 0::2] = np.sin(arg)
+    F[:, 1::2] = np.cos(arg)
 
 
-def _fourier_pairs(n: int, count: int = 10) -> list[Atom]:
-    atoms = []
-    for j in range(1, count + 1):
-        atoms.append(sine_atom(j / n, label=f"sin(2π×{j}×t/{n})"))
-        atoms.append(cosine_atom(j / n, label=f"cos(2π×{j}×t/{n})"))
-    return atoms
+def _pair_labels(arguments) -> list[str]:
+    """sin and cos labels, pair by pair, for each ``2π×<argument>``."""
+    return [f"{fn}(2π×{a})" for a in arguments for fn in ("sin", "cos")]
 
 
-def simulation_dictionary(n: int = 100, family: str = "haar128") -> Dictionary:
-    """Dictionary used on simulated series of length n.
+def _fourier_labels(n: int) -> list[str]:
+    return _pair_labels(f"{j}×t/{n}" for j in range(1, 11))
+
+
+def simulation_design(covariate, family: str = "haar128") -> DesignMatrix:
+    """Design used on simulated series of length n = len(covariate).
 
     Two interchangeable localized families are available:
 
     * ``haar128``: 128 scaled Haar indicators 2^(7/2)·1_[0,1](2^7·t/n - k),
-      k = 0..127 (151 atoms in total for the standard grid);
+      k = 0..127 (151 atoms in total);
     * ``point100``: one unit indicator per integer time (n + 23 atoms),
       whose indexing matches the published selection tables (atom i,
       for i in 2..n+1, sits at t = i - 1).
@@ -207,42 +88,66 @@ def simulation_dictionary(n: int = 100, family: str = "haar128") -> Dictionary:
     Both variants append the 10 Fourier sine/cosine pairs of frequency
     j/n plus the monomials t and t^2.
     """
+    x = _covariate(covariate)
+    n = x.size
     if family == "haar128":
-        localized = [haar_atom(7, k, float(n)) for k in range(128)]
+        local = [f"Haar scale=7 shift={k}" for k in range(128)]
     elif family == "point100":
-        localized = [point_atom(t, label=f"Haar function at t={t}") for t in range(1, n + 1)]
+        local = [f"Haar function at t={t}" for t in range(1, n + 1)]
     else:
         raise ValidationError(f"unknown simulation family {family!r}")
-    atoms = [constant_atom()] + localized + _fourier_pairs(n) + [poly_atom(1), poly_atom(2)]
-    return Dictionary(atoms=tuple(atoms), name=f"simulation_n{n}:{family}")
+    labels = ("constant term", *local, *_fourier_labels(n), "t", "t^2")
+    F = np.empty((n, len(labels)))
+    F[:, 0] = 1.0
+    # the localized block is built in place; its only temporaries are
+    # boolean masks of its size, so set-up never holds two float matrices
+    block = F[:, 1:len(local) + 1]
+    if family == "haar128":
+        np.subtract((2.0 ** 7 * x / n)[:, None], np.arange(128), out=block)
+        np.multiply((block >= 0.0) & (block <= 1.0), 2.0 ** 3.5, out=block)
+    else:
+        np.subtract(x[:, None], np.arange(1, n + 1), out=block)
+        block[...] = np.abs(block, out=block) <= 1e-9
+    _fill_fourier(F[:, -22:-2], x, np.arange(1, 11) / n)
+    F[:, -2] = x ** 1
+    F[:, -1] = x ** 2
+    return DesignMatrix(matrix=F, labels=labels)
 
 
-def exchange_dictionary(n: int) -> Dictionary:
+def exchange_design(covariate) -> DesignMatrix:
     """Constant + t + t^2 + 10 Fourier pairs of frequency i/n (23 atoms)."""
-    atoms = [constant_atom(), poly_atom(1), poly_atom(2)] + _fourier_pairs(n)
-    return Dictionary(atoms=tuple(atoms), name=f"exchange_n{n}")
+    x = _covariate(covariate)
+    n = x.size
+    F = np.empty((n, 23))
+    F[:, 0] = 1.0
+    F[:, 1] = x ** 1
+    F[:, 2] = x ** 2
+    _fill_fourier(F[:, 3:], x, np.arange(1, 11) / n)
+    return DesignMatrix(matrix=F, labels=("constant term", "t", "t^2", *_fourier_labels(n)))
 
 
-def fourier_period_floor_dictionary(span: float, floor: float) -> Dictionary:
+def fourier_design(covariate, floor: float) -> DesignMatrix:
     """Constant + sine/cosine pairs at frequencies i/span while span/i >= floor.
 
-    ``span`` is the covariate extent (max - min); the atom count is
+    ``span`` is the covariate extent (last - first); the atom count is
     therefore data-dependent: 1 + 2*floor(span/floor).
     """
+    x = _covariate(covariate)
     if floor <= 0:
         raise ValidationError("period floor must be positive")
+    span = float(x[-1] - x[0])
     if span <= 0:
         raise ValidationError("covariate span must be positive")
-    atoms: list[Atom] = [constant_atom()]
-    i = 1
-    while span / i >= floor:
-        w = i / span
-        atoms.append(sine_atom(w, label=f"sin(2π×t/{span / i:g})"))
-        atoms.append(cosine_atom(w, label=f"cos(2π×t/{span / i:g})"))
-        i += 1
-    if len(atoms) == 1:
+    count = 0
+    while span / (count + 1) >= floor:
+        count += 1
+    if count == 0:
         raise ValidationError("period floor excludes every frequency")
-    return Dictionary(atoms=tuple(atoms), name=f"fourier_span{span:g}_floor{floor:g}")
+    labels = ("constant term", *_pair_labels(f"t/{span / i:g}" for i in range(1, count + 1)))
+    F = np.empty((x.size, len(labels)))
+    F[:, 0] = 1.0
+    _fill_fourier(F[:, 1:], x, np.arange(1, count + 1) / span)
+    return DesignMatrix(matrix=F, labels=labels)
 
 
 def load_design_matrix(path) -> DesignMatrix:
@@ -273,3 +178,35 @@ def load_design_matrix(path) -> DesignMatrix:
         raise DataError(f"{path}: first column must be a nonzero constant")
     F[:, 0] = 1.0
     return DesignMatrix(matrix=F, labels=labels)
+
+
+def resolve_design(spec: str, series: TimeSeries) -> tuple[DesignMatrix, tuple[str, ...]]:
+    """Design matrix and atom labels for a dictionary spec string.
+
+    Accepted forms: ``simulation_n100`` (optionally ``:haar128`` or
+    ``:point100``), ``exchange``, ``fourier`` (optionally
+    ``:floor=<weeks>``, default 8), ``file:<path>``.
+    """
+    name, colon, option = spec.partition(":")
+    if name == "file" and colon:
+        design = load_design_matrix(option)
+        if design.n != series.n:
+            raise DataError(f"design has {design.n} rows, series has {series.n}")
+    elif name == "simulation_n100":
+        design = simulation_design(series.covariate, option if colon else "haar128")
+    elif spec == "exchange":
+        design = exchange_design(series.covariate)
+    elif name == "fourier":
+        floor = 8.0
+        if colon:
+            key, _, value = option.partition("=")
+            if key != "floor":
+                raise ValidationError(f"unknown fourier option {key!r}")
+            try:
+                floor = float(value)
+            except ValueError:
+                raise ValidationError(f"fourier floor must be a number, got {value!r}") from None
+        design = fourier_design(series.covariate, floor)
+    else:
+        raise ValidationError(f"unknown dictionary spec {spec!r}")
+    return design, design.labels

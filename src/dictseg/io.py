@@ -207,24 +207,31 @@ def write_selection(selection: LatentState, path) -> None:
         fh.write("\n")
 
 
+def _selected(values, size: int, what: str, path) -> np.ndarray:
+    """Inclusion vector of ``size`` bits from a list of 1-based indices;
+    the pinned first bit is always set."""
+    if not isinstance(values, list):
+        raise DataError(f"{path}: selection {what}s must be a list")
+    bits = np.zeros(size, dtype=bool)
+    bits[0] = True
+    for v in values:
+        # type(), not isinstance: JSON true and false load as bool, an int subclass
+        if type(v) is not int or not 1 <= v <= size:
+            raise DataError(f"{path}: selection {what} {v!r} is not an integer in [1, {size}]")
+        bits[v - 1] = True
+    return bits
+
+
 def load_selection(path, n: int, num_atoms: int | None) -> LatentState:
     try:
         with open(path) as fh:
             payload = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
         raise DataError(f"cannot read selection {path}: {exc}") from exc
-    gamma = np.zeros(n, dtype=bool)
-    gamma[0] = True
-    for p in payload.get("positions", []):
-        if not 1 <= p <= n:
-            raise DataError(f"selection position {p} outside [1, {n}]")
-        gamma[p - 1] = True
+    if not isinstance(payload, dict):
+        raise DataError(f"{path}: a selection is a JSON object")
+    gamma = _selected(payload.get("positions", []), n, "position", path)
     r = None
     if num_atoms is not None:
-        r = np.zeros(num_atoms, dtype=bool)
-        r[0] = True
-        for a in payload.get("atoms", []):
-            if not 1 <= a <= num_atoms:
-                raise DataError(f"selection atom {a} outside [1, {num_atoms}]")
-            r[a - 1] = True
+        r = _selected(payload.get("atoms", []), num_atoms, "atom", path)
     return LatentState(gamma=gamma, r=r)

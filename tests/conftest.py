@@ -9,13 +9,11 @@ sys.path.insert(0, str(Path(__file__).parent))
 from dictseg import (
     MODE_P,
     MODE_SP,
-    Atom,
-    Dictionary,
+    DesignMatrix,
     Hyperparameters,
     LatentState,
     PosteriorContext,
     TimeSeries,
-    evaluate_dictionary,
 )
 from dictseg import mh
 
@@ -48,13 +46,21 @@ def proposal_hits(seed, trials):
     return hits
 
 
-def small_dictionary():
+def design_of(x, *columns):
+    """Design of the constant column followed by ``columns``, each one
+    atom evaluated on the covariate ``x``."""
+    labels = ("constant term", *(f"atom {j}" for j in range(2, len(columns) + 2)))
+    return DesignMatrix(matrix=np.column_stack([np.ones_like(x), *columns]), labels=labels)
+
+
+def indicator(x, location):
+    """Unit point indicator of ``x == location``."""
+    return np.where(np.abs(x - location) <= 1e-9, 1.0, 0.0)
+
+
+def small_design(x):
     """Constant + one sine + one point indicator (M = 3)."""
-    return Dictionary(atoms=(
-        Atom("constant"),
-        Atom("sine", {"frequency": 1 / 6}),
-        Atom("point_indicator", {"location": 4.0}),
-    ))
+    return design_of(x, np.sin(2.0 * np.pi * (1 / 6) * x), indicator(x, 4.0))
 
 
 def small_context(n=12, seed=42, mode=MODE_SP, pi=0.1, eta=0.2, c1=50.0, c2=50.0):
@@ -65,7 +71,7 @@ def small_context(n=12, seed=42, mode=MODE_SP, pi=0.1, eta=0.2, c1=50.0, c2=50.0
     if mode == MODE_P:
         hyper = Hyperparameters.flat(n, None, c1=c1, pi=pi)
         return PosteriorContext(series, hyper, None, MODE_P)
-    design = evaluate_dictionary(small_dictionary(), series.covariate)
+    design = small_design(series.covariate)
     hyper = Hyperparameters.flat(n, design.num_atoms, c1=c1, c2=c2, pi=pi, eta=eta)
     return PosteriorContext(series, hyper, design, MODE_SP)
 
@@ -86,17 +92,18 @@ def random_instance(rng, n_max=64, mode=MODE_SP, d_gamma_max=8, d_r_max=6):
         ctx = PosteriorContext(series, hyper, None, MODE_P)
         return ctx, make_state(gpos, n)
     num_atoms = int(rng.integers(2, 9))
-    atoms = [Atom("constant")]
-    for j in range(1, num_atoms):
+    x = series.covariate
+    columns = []
+    for _ in range(1, num_atoms):
         kind = rng.choice(["sine", "cosine", "point_indicator", "poly"])
         if kind in ("sine", "cosine"):
-            atoms.append(Atom(kind, {"frequency": float(rng.uniform(0.02, 0.45))}))
+            wave = np.sin if kind == "sine" else np.cos
+            columns.append(wave(2.0 * np.pi * float(rng.uniform(0.02, 0.45)) * x))
         elif kind == "poly":
-            atoms.append(Atom("poly", {"degree": int(rng.integers(1, 4))}))
+            columns.append(x ** int(rng.integers(1, 4)))
         else:
-            atoms.append(Atom("point_indicator",
-                              {"location": float(rng.integers(1, n + 1))}))
-    design = evaluate_dictionary(Dictionary(atoms=tuple(atoms)), series.covariate)
+            columns.append(indicator(x, float(rng.integers(1, n + 1))))
+    design = design_of(x, *columns)
     d_r = int(rng.integers(1, min(d_r_max, num_atoms) + 1))
     ratoms = [1] + sorted(rng.choice(np.arange(2, num_atoms + 1), size=d_r - 1,
                                      replace=False).tolist())

@@ -24,8 +24,6 @@ from scipy.special import logsumexp
 from dictseg import (
     MODE_P,
     MODE_SP,
-    Atom,
-    Dictionary,
     GibbsSampler,
     Hyperparameters,
     LatentState,
@@ -33,22 +31,21 @@ from dictseg import (
     PosteriorContext,
     RunConfig,
     TimeSeries,
-    evaluate_dictionary,
     inclusion_probabilities,
     log_integrated_posterior,
     make_series,
     run_benchmark,
     run_metropolis_hastings,
     select_median_probability_model,
-    simulation_dictionary,
+    simulation_design,
 )
 from dictseg.config import derive_seeds
-from conftest import make_state, proposal_hits, random_instance, small_context
+from conftest import (design_of, indicator, make_state, proposal_hits, random_instance,
+                      small_context)
 from oracles import log_integrated_posterior_dense, log_posterior_quadrature
 
 N = 100
-POINT_DESIGN = evaluate_dictionary(simulation_dictionary(N, family="point100"),
-                                   np.arange(1.0, N + 1.0))
+POINT_DESIGN = simulation_design(np.arange(1.0, N + 1.0), "point100")
 
 
 def report(number, ok, detail):
@@ -130,10 +127,8 @@ def test_criterion_3_sampler_exactness_on_enumerable_space():
     gen = np.random.default_rng(99)
     values = np.r_[gen.normal(0.0, 0.6, 4), gen.normal(1.2, 0.6, 4)]
     series = TimeSeries(values=values)
-    design = evaluate_dictionary(Dictionary(atoms=(
-        Atom("constant"),
-        Atom("sine", {"frequency": 1 / 5}),
-        Atom("point_indicator", {"location": 6.0}))), series.covariate)
+    x = series.covariate
+    design = design_of(x, np.sin(2.0 * np.pi * (1 / 5) * x), indicator(x, 6.0))
     hyper = Hyperparameters.flat(n, num_atoms, c1=5.0, c2=5.0, pi=0.2, eta=0.3)
     ctx = PosteriorContext(series, hyper, design, MODE_SP)
 

@@ -39,6 +39,12 @@ class TestSimulate:
         assert len(payload["f_true"]) == 100
 
 
+    def test_unwritable_output_is_a_data_error(self, workspace, capsys):
+        code = main(["simulate", "--out", str(workspace / "missing" / "x.csv")])
+        assert code == 2
+        assert "error (data)" in capsys.readouterr().err
+
+
 class TestFitAndMetrics:
     def test_full_pipeline(self, workspace, capsys):
         series = workspace / "series.csv"
@@ -118,6 +124,18 @@ class TestFitAndMetrics:
         assert main(["fit", "--input", str(series), "--out-dir", str(out_dir),
                      "--mode", "p", "--config", str(workspace / "fast.cfg"),
                      "--event-priors", str(events), "--seed", "2"]) == 0
+
+    @pytest.mark.parametrize("field", ["n", "change_points", "means"])
+    def test_metrics_input_without_a_field_is_a_data_error(self, workspace, capsys, field):
+        truth = {"n": 10, "change_points": [4], "means": [0.0, 1.0]}
+        estimate = workspace / "estimate.json"
+        estimate.write_text(json.dumps(truth))
+        del truth[field]
+        (workspace / "truth.json").write_text(json.dumps(truth))
+        code = main(["metrics", "--estimate", str(estimate),
+                     "--truth", str(workspace / "truth.json")])
+        assert code == 2
+        assert f"error (data): {workspace / 'truth.json'} lacks {field}" in capsys.readouterr().err
 
     def test_missing_input_is_a_data_error(self, workspace, capsys):
         code = main(["fit", "--input", str(workspace / "none.csv"),
@@ -276,6 +294,16 @@ class TestDict:
                      "--out", str(workspace / "d.csv")])
         assert code == 2
         assert "error (validation)" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("preset", ["simulation_n100xyz", "fourierZZ", "fourier:floor=abc",
+                                        "simulation_n100:"])
+    def test_inexact_preset_is_rejected(self, workspace, capsys, preset):
+        # a spec is read whole: no known prefix stands in for the rest
+        code = main(["dict", "--preset", preset, "--n", "10",
+                     "--out", str(workspace / "d.csv")])
+        assert code == 2
+        assert "error (validation)" in capsys.readouterr().err
+        assert not (workspace / "d.csv").exists()
 
 
 class TestBench:

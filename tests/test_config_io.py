@@ -232,6 +232,17 @@ class TestSelectionFiles:
         with pytest.raises(DataError):
             load_selection(path, 30, None)
 
+    @pytest.mark.parametrize("payload", [{"positions": [1.5]}, {"positions": ["3"]},
+                                         {"positions": [True]}, {"positions": 4},
+                                         {"positions": [2], "atoms": [2.0]}, [1, 2]],
+                             ids=["float", "string", "bool", "not-a-list", "float-atom",
+                                  "not-an-object"])
+    def test_non_integer_entry_rejected(self, tmp_path, payload):
+        path = tmp_path / "selection.json"
+        path.write_text(json.dumps(payload))
+        with pytest.raises(DataError):
+            load_selection(path, 30, 6)
+
 
 class TestWriteResults:
     def fit_and_write(self, tmp_path, mode="sp"):
@@ -279,24 +290,22 @@ class TestWriteResults:
     def test_recovered_particular_series_summary(self, tmp_path):
         # coefficient stage on the exactly recovered model: the summary
         # lists the three change-points and the selection-table labels
-        from dictseg import (MODE_SP, GibbsConfig, PosteriorContext,
-                             evaluate_dictionary, make_series, run_gibbs,
-                             simulation_dictionary)
+        from dictseg import (MODE_SP, GibbsConfig, PosteriorContext, make_series,
+                             run_gibbs, simulation_design)
         from conftest import make_state
         n = 100
         noise = np.random.default_rng(2033).normal(0, 0.1, n)
         noise[35] = 0.5
         series, _ = make_series(n, (7, 18, 36), (2.0, 0.0, 2.0, 3.0), 0.1,
                                 noise=noise)
-        dictionary = simulation_dictionary(n, "point100")
-        design = evaluate_dictionary(dictionary, series.covariate)
+        design = simulation_design(series.covariate, "point100")
         hyper = Hyperparameters.flat(n, design.num_atoms)
         ctx = PosteriorContext(series, hyper, design, MODE_SP)
         selection = make_state([1, 8, 19, 37], n, [1, 11, 51, 61, 110],
                                design.num_atoms)
         fit = run_gibbs(ctx, selection, GibbsConfig(seed=3, store_trace=False))
         paths = write_results(fit, None, series, tmp_path,
-                              atom_labels=dictionary.labels())
+                              atom_labels=design.labels)
         summary = json.loads(paths["summary"].read_text())
         assert summary["change_points"] == [7, 18, 36]
         labels = {a["index"]: a["label"] for a in summary["selected_atoms"]}

@@ -1,17 +1,16 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from dictseg import (
-    Atom,
     DataError,
-    Dictionary,
+    DesignMatrix,
     ValidationError,
-    atom_label,
-    evaluate_dictionary,
-    exchange_dictionary,
-    fourier_period_floor_dictionary,
+    exchange_design,
+    fourier_design,
     load_design_matrix,
-    simulation_dictionary,
+    simulation_design,
 )
 
 T_GRID = np.arange(1.0, 101.0)
@@ -19,67 +18,60 @@ T_GRID = np.arange(1.0, 101.0)
 
 class TestPresetSizes:
     def test_simulation_preset_has_151_atoms(self):
-        assert simulation_dictionary(100).size == 151
+        assert simulation_design(T_GRID).num_atoms == 151
 
     def test_point_family_indexes_like_the_selection_tables(self):
-        d = simulation_dictionary(100, family="point100")
-        assert d.size == 123  # 1 constant + 100 indicators + 20 Fourier + t + t^2
+        d = simulation_design(T_GRID, family="point100")
+        assert d.num_atoms == 123  # 1 constant + 100 indicators + 20 Fourier + t + t^2
 
     def test_exchange_preset_has_23_atoms(self):
-        assert exchange_dictionary(1500).size == 23
+        assert exchange_design(np.arange(1.0, 1501.0)).num_atoms == 23
 
     def test_period_floor_count_follows_the_rule(self):
         # span/i >= floor keeps i = 1..floor(span/floor): 1 + 2*96 atoms
-        d = fourier_period_floor_dictionary(span=772.0, floor=8.0)
-        assert d.size == 1 + 2 * 96
+        d = fourier_design(np.arange(1.0, 774.0), floor=8.0)
+        assert d.num_atoms == 1 + 2 * 96
 
     def test_period_floor_rejects_bad_floor(self):
         with pytest.raises(ValidationError):
-            fourier_period_floor_dictionary(span=100.0, floor=0.0)
+            fourier_design(T_GRID, floor=0.0)
+
+    def test_unknown_simulation_family(self):
+        with pytest.raises(ValidationError):
+            simulation_design(T_GRID, family="wavelet")
 
     def test_custom_list_must_start_with_constant(self):
         with pytest.raises(ValidationError):
-            Dictionary(atoms=(Atom("poly", {"degree": 1}),))
+            DesignMatrix(matrix=T_GRID[:, None], labels=("t",))
         with pytest.raises(ValidationError):
-            Dictionary(atoms=())
+            DesignMatrix(matrix=np.empty((100, 0)), labels=())
 
 
 class TestEvaluation:
     def test_sine_vanishes_at_half_period(self):
-        atom = Atom("sine", {"frequency": 5 / 100})
-        assert atom.evaluate(np.array([10.0]))[0] == pytest.approx(0.0, abs=1e-12)
-
-    def test_constant_is_one(self):
-        atom = Atom("constant")
-        np.testing.assert_array_equal(atom.evaluate(np.array([3.0, 99.0])), [1.0, 1.0])
+        # atom 110 is sin(2π×5×t/100), zero at t = 10
+        F = simulation_design(T_GRID, "point100").matrix
+        assert F[9, 109] == pytest.approx(0.0, abs=1e-12)
 
     def test_scaled_haar_value(self):
         # 2^7*10/100 - 12 = 0.8 lies in [0, 1] so the atom is at full height
-        atom = Atom("haar", {"scale": 7, "shift": 12, "length": 100.0})
-        assert atom.evaluate(np.array([10.0]))[0] == pytest.approx(11.313708498984761)
-        assert atom.evaluate(np.array([11.0]))[0] == 0.0
+        F = simulation_design(T_GRID, "haar128").matrix
+        assert F[9, 1 + 12] == pytest.approx(11.313708498984761)
+        assert F[10, 1 + 12] == 0.0
 
-    def test_haar_shift_range_validated(self):
-        with pytest.raises(ValidationError):
-            Atom("haar", {"scale": 7, "shift": 128, "length": 100.0})
+    def test_constant_is_one(self):
+        for design in (simulation_design(T_GRID, "haar128"), exchange_design(T_GRID),
+                       fourier_design(T_GRID, floor=8.0)):
+            np.testing.assert_array_equal(design.matrix[:, 0], np.ones(100))
 
     def test_first_column_is_ones(self):
-        design = evaluate_dictionary(simulation_dictionary(100, "point100"), T_GRID)
+        design = simulation_design(T_GRID, "point100")
         np.testing.assert_array_equal(design.matrix[:, 0], np.ones(100))
-
-    def test_sub_dictionary_equals_column_selection(self):
-        full = simulation_dictionary(100, "point100")
-        design = evaluate_dictionary(full, T_GRID)
-        keep = [0, 10, 109, 122]
-        sub = Dictionary(atoms=tuple(full.atoms[i] for i in keep))
-        sub_design = evaluate_dictionary(sub, T_GRID)
-        np.testing.assert_array_equal(sub_design.matrix, design.matrix[:, keep])
 
     def test_point_family_reproduces_disturbance_components(self):
         # indices 11/51/61 are the unit peaks at t = 10/50/60; index 110 is
         # the period-20 sine
-        design = evaluate_dictionary(simulation_dictionary(100, "point100"), T_GRID)
-        F = design.matrix
+        F = simulation_design(T_GRID, "point100").matrix
         for idx, t0 in ((11, 10), (51, 50), (61, 60)):
             expected = (T_GRID == t0).astype(float)
             np.testing.assert_array_equal(F[:, idx - 1], expected)
@@ -87,31 +79,73 @@ class TestEvaluation:
                                    atol=1e-12)
 
     def test_haar_family_covers_the_same_peaks_up_to_amplitude(self):
-        design = evaluate_dictionary(simulation_dictionary(100, "haar128"), T_GRID)
-        F = design.matrix
+        F = simulation_design(T_GRID, "haar128").matrix
         amp = 2.0 ** 3.5
         for t0 in (10, 50, 60):
             k = int(np.floor(2 ** 7 * t0 / 100 - 1e-9))
             col = F[:, 1 + k]
             assert col[t0 - 1] == pytest.approx(amp)
 
+    @pytest.mark.parametrize("preset", ["haar128", "point100", "exchange", "fourier"])
+    def test_columns_follow_the_atom_formulas_bit_for_bit(self, preset):
+        # an irregular grid, partly on integers: every column equals its
+        # atom's formula evaluated on its own
+        x = 0.75 + np.cumsum(np.random.default_rng(5).choice([0.25, 0.5, 1.0, 0.7], 90))
+        n = x.size
+
+        def pairs(frequencies):
+            return [wave(2.0 * np.pi * f * x) for f in frequencies for wave in (np.sin, np.cos)]
+
+        ones, trend = np.ones_like(x), [x ** 1, x ** 2]
+        if preset == "haar128":
+            local = [np.where(((2.0 ** 7) * x / float(n) - k >= 0.0)
+                              & ((2.0 ** 7) * x / float(n) - k <= 1.0), 2.0 ** 3.5, 0.0)
+                     for k in range(128)]
+            expected = [ones, *local, *pairs(j / n for j in range(1, 11)), *trend]
+            design = simulation_design(x, "haar128")
+        elif preset == "point100":
+            local = [np.where(np.abs(x - float(t)) <= 1e-9, 1.0, 0.0) for t in range(1, n + 1)]
+            assert sum(col.sum() for col in local) > 0  # some points sit on integer times
+            expected = [ones, *local, *pairs(j / n for j in range(1, 11)), *trend]
+            design = simulation_design(x, "point100")
+        elif preset == "exchange":
+            expected = [ones, *trend, *pairs(j / n for j in range(1, 11))]
+            design = exchange_design(x)
+        else:
+            span = float(x[-1] - x[0])
+            expected = [ones, *pairs(i / span for i in range(1, int(span // 8.0) + 1))]
+            design = fourier_design(x, floor=8.0)
+        assert design.matrix.tobytes() == np.column_stack(expected).tobytes()
+
+    def test_point_family_holds_one_mask_next_to_the_matrix(self):
+        # the n x n indicator block is built in place: set-up peaks at the
+        # final matrix plus one boolean mask of its size, not at two
+        # matrices; the slack covers the labels and the ufuncs' buffers
+        n = 600
+        x = np.arange(1.0, n + 1.0)
+        tracemalloc.start()
+        try:
+            design = simulation_design(x, "point100")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= design.matrix.nbytes + design.matrix.size + 256 * 1024
+
 
 class TestLabels:
     def test_table_conventions(self):
-        d = simulation_dictionary(100, family="point100")
-        assert atom_label(d, 1) == "constant term"
-        assert atom_label(d, 51) == "Haar function at t=50"
-        assert atom_label(d, 110) == "sin(2π×5×t/100)"
-        assert atom_label(d, 120) == "sin(2π×10×t/100)"
-        assert atom_label(d, 122) == "t"
-        assert atom_label(d, 123) == "t^2"
+        labels = simulation_design(T_GRID, family="point100").labels
+        assert labels[0] == "constant term"
+        assert labels[50] == "Haar function at t=50"
+        assert labels[109] == "sin(2π×5×t/100)"
+        assert labels[119] == "sin(2π×10×t/100)"
+        assert labels[121] == "t"
+        assert labels[122] == "t^2"
 
-    def test_index_out_of_range(self):
-        d = simulation_dictionary(100, family="point100")
-        with pytest.raises(ValidationError):
-            atom_label(d, 0)
-        with pytest.raises(ValidationError):
-            atom_label(d, 124)
+    def test_period_floor_labels_name_the_period(self):
+        labels = fourier_design(T_GRID, floor=30.0).labels
+        assert labels == ("constant term", "sin(2π×t/99)", "cos(2π×t/99)",
+                          "sin(2π×t/49.5)", "cos(2π×t/49.5)", "sin(2π×t/33)", "cos(2π×t/33)")
 
 
 class TestFileIngestion:

@@ -4,23 +4,20 @@ import pytest
 from dictseg import (
     MODE_P,
     MODE_SP,
-    Atom,
     ComputeError,
     DesignMatrix,
-    Dictionary,
     GibbsConfig,
     GibbsSampler,
     Hyperparameters,
     LatentState,
     PosteriorContext,
     TimeSeries,
-    evaluate_dictionary,
     log_integrated_posterior,
     make_series,
     run_gibbs,
-    simulation_dictionary,
+    simulation_design,
 )
-from conftest import make_state, small_context
+from conftest import design_of, make_state, small_context
 from oracles import (
     batch_means_mcse,
     conditional_chain,
@@ -94,8 +91,7 @@ class TestSigma2Conditional:
     def test_shape_from_dimensions(self):
         n = 100
         series, _ = make_series(n, (7, 18, 36), (2.0, 0.0, 2.0, 3.0), 0.0)
-        design = evaluate_dictionary(simulation_dictionary(n, "point100"),
-                                     series.covariate)
+        design = simulation_design(series.covariate, "point100")
         hyper = Hyperparameters.flat(n, design.num_atoms)
         ctx = PosteriorContext(series, hyper, design, MODE_SP)
         sampler, _ = sampler_for(ctx, [1, 8, 19, 37], [1, 11, 51, 61, 110])
@@ -117,8 +113,7 @@ class TestSigma2Conditional:
     def test_perfect_fit_keeps_b_positive(self):
         n = 50
         series, truth = make_series(n, (10, 25, 40), (1.0, 3.0, 0.0, 2.0), 0.0)
-        design = evaluate_dictionary(simulation_dictionary(n, "point100"),
-                                     series.covariate)
+        design = simulation_design(series.covariate, "point100")
         hyper = Hyperparameters.flat(n, design.num_atoms)
         ctx = PosteriorContext(series, hyper, design, MODE_SP)
         sampler, _ = sampler_for(ctx, [1, 11, 26, 41], [1, 6, 26, 31])
@@ -154,12 +149,11 @@ class TestRunGibbs:
         n = 20
         values = rng.normal(size=n)
         series = TimeSeries(values=values)
-        atoms = (Atom("constant"), Atom("sine", {"frequency": 0.13}),
-                 Atom("cosine", {"frequency": 0.21}), Atom("poly", {"degree": 1}))
+        x = series.covariate
+        columns = (np.sin(2.0 * np.pi * 0.13 * x), np.cos(2.0 * np.pi * 0.21 * x), x ** 1)
         perm = [0, 3, 1, 2]
-        d1 = evaluate_dictionary(Dictionary(atoms=atoms), series.covariate)
-        d2 = evaluate_dictionary(Dictionary(atoms=tuple(atoms[i] for i in perm)),
-                                 series.covariate)
+        d1 = design_of(x, *columns)
+        d2 = design_of(x, *(columns[i - 1] for i in perm[1:]))
         hyper = Hyperparameters.flat(n, 4)
         ctx1 = PosteriorContext(series, hyper, d1, MODE_SP)
         ctx2 = PosteriorContext(series, hyper, d2, MODE_SP)
@@ -184,8 +178,7 @@ class TestRunGibbs:
     def test_noise_free_sigma_stays_small(self):
         n = 100
         series, truth = make_series(n, (7, 18, 36), (2.0, 0.0, 2.0, 3.0), 0.0)
-        design = evaluate_dictionary(simulation_dictionary(n, "point100"),
-                                     series.covariate)
+        design = simulation_design(series.covariate, "point100")
         hyper = Hyperparameters.flat(n, design.num_atoms)
         ctx = PosteriorContext(series, hyper, design, MODE_SP)
         selection = make_state([1, 8, 19, 37], n, [1, 11, 51, 61, 110],
@@ -201,8 +194,7 @@ class TestRunGibbs:
         noise[35] = 0.5
         series, truth = make_series(n, (7, 18, 36), (2.0, 0.0, 2.0, 3.0), 0.1,
                                     noise=noise)
-        design = evaluate_dictionary(simulation_dictionary(n, "point100"),
-                                     series.covariate)
+        design = simulation_design(series.covariate, "point100")
         hyper = Hyperparameters.flat(n, design.num_atoms)
         ctx = PosteriorContext(series, hyper, design, MODE_SP)
         selection = make_state([1, 8, 19, 37], n, [1, 11, 51, 61, 110],
@@ -262,7 +254,7 @@ def published_instance(mode):
     if mode == MODE_P:
         ctx = PosteriorContext(series, Hyperparameters.flat(n, None), None, MODE_P)
         return ctx, make_state([1, 8, 19, 37], n)
-    design = evaluate_dictionary(simulation_dictionary(n, "point100"), series.covariate)
+    design = simulation_design(series.covariate, "point100")
     ctx = PosteriorContext(series, Hyperparameters.flat(n, design.num_atoms), design, MODE_SP)
     return ctx, make_state([1, 8, 19, 37], n, [1, 11, 51, 61, 110], design.num_atoms)
 

@@ -7,23 +7,20 @@ from dictseg import mh
 from dictseg import (
     MODE_P,
     MODE_SP,
-    Atom,
     ComputeError,
-    Dictionary,
     Hyperparameters,
     InclusionProbabilities,
     MHConfig,
     PosteriorContext,
     TimeSeries,
     ValidationError,
-    evaluate_dictionary,
     inclusion_probabilities,
     intersect_selections,
     log_integrated_posterior,
     run_metropolis_hastings,
     select_median_probability_model,
 )
-from conftest import make_state, proposal_hits, small_context
+from conftest import design_of, indicator, make_state, proposal_hits, small_context
 from oracles import sequential_chain
 
 
@@ -148,9 +145,8 @@ class TestRunChain:
         rng = np.random.default_rng(9)
         n = 16
         series = TimeSeries(values=rng.normal(size=n) + 1.0)
-        atoms = (Atom("constant"), Atom("sine", {"frequency": 0.2}),
-                 Atom("sine", {"frequency": 0.2}))
-        design = evaluate_dictionary(Dictionary(atoms=atoms), series.covariate)
+        x = series.covariate
+        design = design_of(x, np.sin(2.0 * np.pi * 0.2 * x), np.sin(2.0 * np.pi * 0.2 * x))
         hyper = Hyperparameters.flat(n, 3, pi=0.1, eta=0.45)
         ctx = PosteriorContext(series, hyper, design, MODE_SP)
         config = MHConfig(total_iterations=3000, burn_in=100, flip_gamma=1,
@@ -286,13 +282,13 @@ def chain_context(mode, duplicate=False):
     series = TimeSeries(values=values)
     if mode == MODE_P:
         return PosteriorContext(series, Hyperparameters.flat(n, None, pi=0.05), None, MODE_P)
-    atoms = [Atom("constant"), Atom("sine", {"frequency": 0.1}),
-             Atom("cosine", {"frequency": 0.1}), Atom("point_indicator", {"location": 20.0}),
-             Atom("poly", {"degree": 1}), Atom("sine", {"frequency": 0.23})]
+    x = series.covariate
+    columns = [np.sin(2.0 * np.pi * 0.1 * x), np.cos(2.0 * np.pi * 0.1 * x),
+               indicator(x, 20.0), x ** 1, np.sin(2.0 * np.pi * 0.23 * x)]
     if duplicate:
-        atoms.insert(2, Atom("sine", {"frequency": 0.1}))
-    design = evaluate_dictionary(Dictionary(atoms=tuple(atoms)), series.covariate)
-    hyper = Hyperparameters.flat(n, len(atoms), pi=0.05, eta=0.3)
+        columns.insert(1, columns[0])
+    design = design_of(x, *columns)
+    hyper = Hyperparameters.flat(n, design.num_atoms, pi=0.05, eta=0.3)
     return PosteriorContext(series, hyper, design, MODE_SP)
 
 

@@ -7,18 +7,15 @@ from dictseg import posterior
 from dictseg import (
     MODE_P,
     MODE_SP,
-    Atom,
-    Dictionary,
     Hyperparameters,
     LatentState,
     PosteriorContext,
     TimeSeries,
     ValidationError,
-    evaluate_dictionary,
     log_integrated_posterior,
     log_prior_inclusion,
 )
-from conftest import make_state, random_instance, small_context
+from conftest import design_of, indicator, make_state, random_instance, small_context
 from oracles import log_integrated_posterior_dense, log_posterior_quadrature
 
 
@@ -145,14 +142,11 @@ class TestInvariances:
         n = 16
         values = rng.normal(size=n)
         series = TimeSeries(values=values)
-        atoms = (Atom("constant"),
-                 Atom("sine", {"frequency": 0.11}),
-                 Atom("poly", {"degree": 1}),
-                 Atom("point_indicator", {"location": 5.0}))
-        design = evaluate_dictionary(Dictionary(atoms=atoms), series.covariate)
+        x = series.covariate
+        columns = (np.sin(2.0 * np.pi * 0.11 * x), x ** 1, indicator(x, 5.0))
+        design = design_of(x, *columns)
         perm = [0, 2, 3, 1]  # keeps the constant first
-        shuffled = evaluate_dictionary(
-            Dictionary(atoms=tuple(atoms[i] for i in perm)), series.covariate)
+        shuffled = design_of(x, *(columns[i - 1] for i in perm[1:]))
         eta = np.array([1.0, 0.1, 0.2, 0.3])
         h1 = Hyperparameters(c1=50.0, pi=np.r_[1.0, np.full(n - 1, 0.05)],
                              c2=50.0, eta=eta)
@@ -171,9 +165,7 @@ class TestDegenerateStates:
     def test_zero_data_is_rejected(self):
         n = 10
         series = TimeSeries(values=np.zeros(n))
-        design = evaluate_dictionary(
-            Dictionary(atoms=(Atom("constant"), Atom("poly", {"degree": 1}))),
-            series.covariate)
+        design = design_of(series.covariate, series.covariate ** 1)
         hyper = Hyperparameters.flat(n, 2, pi=0.1, eta=0.1)
         ctx = PosteriorContext(series, hyper, design, MODE_SP)
         state = make_state([1], n, [1], 2)
@@ -183,10 +175,8 @@ class TestDegenerateStates:
     def test_duplicate_atoms_are_rejected(self, rng):
         n = 12
         series = TimeSeries(values=rng.normal(size=n))
-        atoms = (Atom("constant"),
-                 Atom("sine", {"frequency": 0.2}),
-                 Atom("sine", {"frequency": 0.2}))
-        design = evaluate_dictionary(Dictionary(atoms=atoms), series.covariate)
+        x = series.covariate
+        design = design_of(x, np.sin(2.0 * np.pi * 0.2 * x), np.sin(2.0 * np.pi * 0.2 * x))
         hyper = Hyperparameters.flat(n, 3, pi=0.1, eta=0.1)
         ctx = PosteriorContext(series, hyper, design, MODE_SP)
         state = make_state([1], n, [1, 2, 3], 3)
@@ -202,15 +192,14 @@ class TestDegenerateStates:
             series = TimeSeries(values=rng.normal(size=n))
             f1, f2 = rng.uniform(0.02, 0.45, 2)
             scale = float(rng.uniform(0.5, 3.0))
+            x = series.covariate
             if rng.random() < 0.5:
-                extra = Atom("custom", fn=lambda x, f=f1, c=scale: c * np.sin(2 * np.pi * f * x))
+                extra = scale * np.sin(2 * np.pi * f1 * x)
             else:
-                extra = Atom("custom", fn=lambda x, f=f1, g=f2: (np.sin(2 * np.pi * f * x)
-                                                                + np.cos(2 * np.pi * g * x)))
-            atoms = (Atom("constant"), Atom("sine", {"frequency": float(f1)}),
-                     Atom("cosine", {"frequency": float(f2)}), extra)
-            design = evaluate_dictionary(Dictionary(atoms=atoms), series.covariate)
-            hyper = Hyperparameters.flat(n, len(atoms), pi=0.1, eta=0.2)
+                extra = np.sin(2 * np.pi * f1 * x) + np.cos(2 * np.pi * f2 * x)
+            design = design_of(x, np.sin(2.0 * np.pi * float(f1) * x),
+                               np.cos(2.0 * np.pi * float(f2) * x), extra)
+            hyper = Hyperparameters.flat(n, 4, pi=0.1, eta=0.2)
             ctx = PosteriorContext(series, hyper, design, MODE_SP)
             state = make_state([1, int(rng.integers(2, n + 1))], n, [1, 2, 3, 4], 4)
             assert log_integrated_posterior(state, ctx) == -np.inf
@@ -264,12 +253,11 @@ def stack_context(mode):
     series = TimeSeries(values=rng.normal(size=n) + np.where(np.arange(n) > 14, 1.5, 0.0))
     if mode == MODE_P:
         return PosteriorContext(series, Hyperparameters.flat(n, None, pi=0.1), None, MODE_P)
-    atoms = (Atom("constant"), Atom("sine", {"frequency": 0.1}),
-             Atom("cosine", {"frequency": 0.1}), Atom("point_indicator", {"location": 12.0}),
-             Atom("poly", {"degree": 1}), Atom("sine", {"frequency": 0.23}),
-             Atom("sine", {"frequency": 0.1}))
-    design = evaluate_dictionary(Dictionary(atoms=atoms), series.covariate)
-    hyper = Hyperparameters.flat(n, len(atoms), c1=20.0, c2=30.0, pi=0.1, eta=0.2)
+    x = series.covariate
+    design = design_of(x, np.sin(2.0 * np.pi * 0.1 * x), np.cos(2.0 * np.pi * 0.1 * x),
+                       indicator(x, 12.0), x ** 1, np.sin(2.0 * np.pi * 0.23 * x),
+                       np.sin(2.0 * np.pi * 0.1 * x))
+    hyper = Hyperparameters.flat(n, design.num_atoms, c1=20.0, c2=30.0, pi=0.1, eta=0.2)
     return PosteriorContext(series, hyper, design, MODE_SP)
 
 
