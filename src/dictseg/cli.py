@@ -142,26 +142,62 @@ def _load_json(path, keys: tuple[str, ...]) -> dict:
     return payload
 
 
+def _field(payload: dict, path, key: str, convert, kind: str, default=None):
+    """``convert(payload[key])``, ``default`` if the key is absent, or a
+    DataError naming the file and the field if the value is not ``kind``."""
+    if key not in payload:
+        return default
+    try:
+        return convert(payload[key])
+    except (TypeError, ValueError, LookupError) as exc:
+        raise DataError(f"{path}: {key} must be {kind} ({exc})") from exc
+
+
+def _positive(value) -> int:
+    n = int(value)
+    if n < 1:
+        raise ValueError(f"{n} < 1")
+    return n
+
+
+def _integers(values) -> tuple[int, ...]:
+    return tuple(int(v) for v in values)
+
+
+def _numbers(values) -> tuple[float, ...]:
+    return tuple(float(v) for v in values)
+
+
+def _segmentation(payload: dict, path) -> Segmentation:
+    return Segmentation(
+        change_points=_field(payload, path, "change_points", _integers, "a list of integers"),
+        means=_field(payload, path, "means", _numbers, "a list of numbers"))
+
+
 def cmd_metrics(args) -> int:
     est = _load_json(args.estimate, ("change_points", "means"))
     tru = _load_json(args.truth, ("n", "change_points", "means"))
-    n = int(tru["n"])
-    truth_seg = Segmentation(change_points=tuple(tru["change_points"]),
-                             means=tuple(tru["means"]))
-    est_seg = Segmentation(change_points=tuple(est["change_points"]),
-                           means=tuple(est["means"]))
+    n = _field(tru, args.truth, "n", _positive, "a positive integer")
+    truth_seg = _segmentation(tru, args.truth)
+    est_seg = _segmentation(est, args.estimate)
     rmse_mu, fdr_bp, fnr_bp = segmentation_metrics(est_seg, truth_seg, n,
                                                    tolerance=args.tolerance)
     report = {"rmse_mu": rmse_mu, "fdr_bp": fdr_bp, "fnr_bp": fnr_bp}
     if "f_hat" in est and "f_true" in tru:
+        numbers = "a list of numbers"
         truth = SeriesTruth(
-            segmentation=truth_seg, f_true=np.array(tru["f_true"]),
-            sigma=float(tru.get("sigma", 0.0)),
-            true_atom_indices=frozenset(tru.get("true_atom_indices", ())),
+            segmentation=truth_seg,
+            f_true=np.array(_field(tru, args.truth, "f_true", _numbers, numbers)),
+            sigma=_field(tru, args.truth, "sigma", float, "a number", 0.0),
+            true_atom_indices=frozenset(_field(tru, args.truth, "true_atom_indices",
+                                               _integers, "a list of integers", ())),
             noise=np.zeros(n),
         )
-        atoms = [a["index"] for a in est.get("selected_atoms", [])]
-        rmse_f, fdr_f, fnr_f = functional_metrics(np.array(est["f_hat"]), atoms, truth)
+        atoms = _field(est, args.estimate, "selected_atoms",
+                       lambda v: [int(a["index"]) for a in v],
+                       "a list of objects with an integer index", [])
+        f_hat = np.array(_field(est, args.estimate, "f_hat", _numbers, numbers))
+        rmse_f, fdr_f, fnr_f = functional_metrics(f_hat, atoms, truth)
         report.update({"rmse_f": rmse_f, "fdr_f": fdr_f, "fnr_f": fnr_f})
     text = json.dumps(report, indent=2, sort_keys=True)
     if args.out:

@@ -18,6 +18,10 @@ init_functions = 2
 """
 
 
+# a field left out of a metrics input
+MISSING = object()
+
+
 @pytest.fixture
 def workspace(tmp_path):
     cfg = tmp_path / "fast.cfg"
@@ -125,17 +129,34 @@ class TestFitAndMetrics:
                      "--mode", "p", "--config", str(workspace / "fast.cfg"),
                      "--event-priors", str(events), "--seed", "2"]) == 0
 
-    @pytest.mark.parametrize("field", ["n", "change_points", "means"])
-    def test_metrics_input_without_a_field_is_a_data_error(self, workspace, capsys, field):
+    @pytest.mark.parametrize("field,value", [
+        pytest.param("n", MISSING, id="n"),
+        pytest.param("change_points", MISSING, id="change_points"),
+        pytest.param("means", MISSING, id="means"),
+        # present, of the wrong type
+        pytest.param("n", "abc", id="n-string"),
+        pytest.param("n", 0, id="n-zero"),
+        pytest.param("n", -3, id="n-negative"),
+        pytest.param("change_points", 4, id="change_points-number"),
+        pytest.param("change_points", [[4]], id="change_points-nested"),
+        pytest.param("means", ["a", 1.0], id="means-string"),
+    ])
+    def test_metrics_input_without_a_field_is_a_data_error(self, workspace, capsys, field,
+                                                           value):
         truth = {"n": 10, "change_points": [4], "means": [0.0, 1.0]}
         estimate = workspace / "estimate.json"
         estimate.write_text(json.dumps(truth))
-        del truth[field]
+        if value is MISSING:
+            del truth[field]
+        else:
+            truth[field] = value
         (workspace / "truth.json").write_text(json.dumps(truth))
         code = main(["metrics", "--estimate", str(estimate),
                      "--truth", str(workspace / "truth.json")])
         assert code == 2
-        assert f"error (data): {workspace / 'truth.json'} lacks {field}" in capsys.readouterr().err
+        path = workspace / "truth.json"
+        want = f"{path} lacks {field}" if value is MISSING else f"{path}: {field} must be"
+        assert f"error (data): {want}" in capsys.readouterr().err
 
     def test_missing_input_is_a_data_error(self, workspace, capsys):
         code = main(["fit", "--input", str(workspace / "none.csv"),
@@ -246,6 +267,15 @@ ESTIMATE_DIGESTS = {
 }
 
 
+# sha256 of the search-stage files of the same mode-sp fit with
+# single-bit flips (flip_gamma = flip_r = 1, as in the application
+# preset), whose proposals each take one half-word of the random stream
+SINGLE_FLIP_DIGESTS = {
+    "selection.json": "22e1cbc7a36fdaef58fb03fd3cb563d8f1f5af97056e77dd470fd0f3ad4baa8a",
+    "mh_trace.csv": "81b5bfb3c4b5b5405d57e475fd9550d6978e3d06e6d266ac8965022f6c025619",
+}
+
+
 class TestDeterminismPin:
     @pytest.fixture(scope="class", params=["sp", "p"])
     def fit(self, request, tmp_path_factory):
@@ -272,6 +302,15 @@ class TestDeterminismPin:
     def test_estimate_files_keep_their_digests(self, fit):
         mode, out_dir = fit
         assert self.digests(out_dir, ESTIMATE_DIGESTS[mode]) == ESTIMATE_DIGESTS[mode]
+
+    def test_single_flip_search_files_keep_their_digests(self, tmp_path):
+        series, cfg = tmp_path / "series.csv", tmp_path / "single.cfg"
+        cfg.write_text("flip_gamma = 1\nflip_r = 1\n")
+        assert main(["simulate", "--n", "100", "--sigma", "0.5", "--seed", "3",
+                     "--out", str(series)]) == 0
+        assert main(["fit", "--input", str(series), "--out-dir", str(tmp_path / "fit"),
+                     "--mode", "sp", "--seed", "7", "--save-trace", "--config", str(cfg)]) == 0
+        assert self.digests(tmp_path / "fit", SINGLE_FLIP_DIGESTS) == SINGLE_FLIP_DIGESTS
 
 
 class TestDict:

@@ -336,6 +336,7 @@ class TestBlockKernel:
         assert trace.neg_inf == neg_inf
         assert 0 < trace.accepted.mean() < 0.5
         assert trace.evaluator_calls < len(trace) <= trace.candidates_evaluated
+        assert len(trace) <= trace.proposals_drawn
 
     def test_duplicated_atom_proposals_are_rejected_at_minus_inf(self):
         # with a duplicated atom, every proposal selecting both copies has
@@ -403,45 +404,67 @@ BLOCK_CASES = [
     ((20001, 401), (101, 1)),         # numpy's tail shuffle
     ((BIG, 1), (BIG, 3)),
     ((BIG64, 2), (124, 1)),           # 64-bit draws
+    # the presets' flip counts: 2-bit flips in modes sp and p (default),
+    # single flips on a long series (application)
+    ((101, 2), (124, 2)),
+    ((101, 2), None),
+    ((20000, 1), (12, 1)),
 ]
+
+# one block on each side of the crossover between the two decoders
+BLOCK_SIZES = [1, mh.ARRAY_MIN_BLOCK - 1, mh.ARRAY_MIN_BLOCK, 64]
 
 
 class TestDrawBlock:
-    """The bulk decoder against numpy's own draws on the same seed."""
+    """The bulk decoders against numpy's own draws on the same seed."""
 
     @pytest.mark.parametrize("gamma,r", BLOCK_CASES)
     @pytest.mark.parametrize("buffered", [False, True], ids=["fresh", "buffered"])
     def test_same_draws_and_state_as_generator_calls(self, gamma, r, buffered):
-        size = 40
-        ours = np.random.Generator(np.random.PCG64(5))
-        theirs = np.random.Generator(np.random.PCG64(5))
-        if buffered:
-            # leaves the high half of a word buffered
-            ours.integers(7)
-            theirs.integers(7)
-        on_gamma, flips_g, flips_r, uniforms, start, marks = mh._draw_block(
-            ours.bit_generator, size, gamma, r)
-        want = numpy_block(theirs, size, gamma, r)
-        assert on_gamma == want[0]
-        np.testing.assert_array_equal(flips_g, np.array(want[1]))
-        if r is None:
-            assert flips_r is None
-        else:
-            np.testing.assert_array_equal(flips_r, np.array(want[2]))
-        assert uniforms == want[3]
-        assert stream_position(ours.bit_generator.state) == stream_position(want[5])
-        # a seek to a mark is the stream of a proposal that draws no uniform
-        probe = np.random.PCG64(0)
-        for mark, before in zip(marks, want[4]):
-            mh._seek(probe, start, *mark)
-            assert stream_position(probe.state) == stream_position(before)
+        for size in BLOCK_SIZES:
+            ours = np.random.Generator(np.random.PCG64(5))
+            theirs = np.random.Generator(np.random.PCG64(5))
+            if buffered:
+                # leaves the high half of a word buffered
+                ours.integers(7)
+                theirs.integers(7)
+            on_gamma, flips_g, flips_r, uniforms, start, marks = mh._draw_block(
+                ours.bit_generator, size, gamma, r)
+            want = numpy_block(theirs, size, gamma, r)
+            assert on_gamma == want[0], size
+            np.testing.assert_array_equal(flips_g, np.array(want[1]), err_msg=str(size))
+            if r is None:
+                assert flips_r is None
+            else:
+                np.testing.assert_array_equal(flips_r, np.array(want[2]), err_msg=str(size))
+            assert uniforms == want[3], size
+            assert stream_position(ours.bit_generator.state) == stream_position(want[5]), size
+            # a seek to a mark is the stream of a proposal that draws no uniform
+            probe = np.random.PCG64(0)
+            for mark, before in zip(marks, want[4]):
+                mh._seek(probe, start, *mark)
+                assert stream_position(probe.state) == stream_position(before), size
 
     @pytest.mark.parametrize("length,bits", [(BIG, 32), (BIG64, 64)], ids=["32-bit", "64-bit"])
-    def test_rejections_are_drawn_again(self, length, bits):
+    def test_rejections_are_drawn_again(self, monkeypatch, length, bits):
         # without a rejection, each proposal's one flip is one draw
         size = 64
+        handed = []
+        array = mh._decode_array
+
+        def decode_array(*args):
+            block = array(*args)
+            handed.append(block is None)
+            return block
+
+        monkeypatch.setattr(mh, "_decode_array", decode_array)
         rng = np.random.Generator(np.random.PCG64(5))
         _, flips, _, _, _, marks = mh._draw_block(rng.bit_generator, size, (length, 1))
+        # the array decoder covers 32-bit draws, finds the rejections and
+        # hands the block to the scalar decoder; 64-bit draws go there
+        # without an attempt
+        assert handed == [True]
+        assert (mh._ranges((length, 1), None) is None) == (bits == 64)
         words, half = marks[-1][0] + 1, marks[-1][1]
         draws = 2 * (words - size) - (half is not None) if bits == 32 else words - size
         assert draws > size
@@ -458,6 +481,56 @@ class TestDrawBlock:
         want = numpy_block(np.random.Generator(np.random.PCG64(9)), 8, (2**40, 5), None)
         np.testing.assert_array_equal(flips, np.array(want[1]))
         assert uniforms == want[3]
+
+    @pytest.mark.parametrize("gamma,r,covered", [
+        ((101, 2), (124, 2), True),
+        ((101, 2), None, True),
+        ((20000, 1), (12, 1), True),
+        ((101, 1), (124, 2), False),      # unequal flip counts
+        ((BIG64, 2), (124, 2), False),    # 64-bit draws
+        ((20001, 401), None, False),      # numpy's tail shuffle
+        ((2, 1), None, False),            # a range of 0
+        ((4, 3), None, False),            # Floyd's first range is 0
+    ])
+    def test_cases_the_array_decoder_hands_on(self, gamma, r, covered):
+        # outside its layout the array decoder returns None at once and
+        # leaves the generator where it was
+        bit_generator = np.random.PCG64(5)
+        before = bit_generator.state
+        block = mh._decode_array(bit_generator, mh.ARRAY_MIN_BLOCK, gamma, r)
+        assert (block is not None) == covered
+        if not covered:
+            assert bit_generator.state == before
+
+    def test_array_decoder_matches_scalar_decoder(self):
+        # random shapes, sizes and half-word states: the same block and
+        # the same generator state from both decoders, or a hand-off
+        cases = np.random.default_rng(11)
+        decoded = 0
+        for _ in range(300):
+            count = int(cases.integers(1, 5))
+            lengths = [count + 1, count + 2, 8, 101, 124, 2000, 20000, BIG]
+            gamma = (max(int(cases.choice(lengths)), count + 1), count)
+            r = (max(int(cases.choice(lengths)), count + 1), count) if cases.random() < 0.7 else None
+            size, seed = int(cases.integers(1, 80)), int(cases.integers(1 << 30))
+            ours, theirs = np.random.PCG64(seed), np.random.PCG64(seed)
+            if cases.random() < 0.5:
+                np.random.Generator(ours).integers(7)
+                np.random.Generator(theirs).integers(7)
+            block = mh._decode_array(ours, size, gamma, r)
+            if block is None:
+                block = mh._decode_scalar(ours, size, gamma, r)
+            else:
+                decoded += 1
+            want = mh._decode_scalar(theirs, size, gamma, r)
+            for got, wanted in zip(block, want):
+                if isinstance(wanted, np.ndarray):
+                    assert got.dtype == wanted.dtype
+                    np.testing.assert_array_equal(got, wanted)
+                else:
+                    assert got == wanted
+            assert ours.state == theirs.state
+        assert decoded > 100
 
 
 def brute_force_states(trace):
