@@ -10,24 +10,20 @@ recorded as a failed row instead of aborting the batch.
 
 from __future__ import annotations
 
-import json
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import astuple, dataclass, fields, replace
 
 import numpy as np
 
 from .config import RunConfig, derive_seeds
 from .dictionary import resolve_design
 from .errors import ValidationError
+from .io import write_csv, write_json
 from .metrics import functional_metrics, segmentation_metrics
 from .pipeline import fit_series
 from .posterior import MODE_P, MODE_SP
 from .simulate import simulate_series
-
-_CSV_FIELDS = ("sigma", "method", "replicate", "sim_seed", "fit_seed", "ok",
-               "k_hat", "rmse_mu", "fdr_bp", "fnr_bp", "rmse_f", "fdr_f",
-               "fnr_f", "sigma_hat", "runtime_s", "error")
 
 _MEAN_FIELDS = ("k_hat", "rmse_mu", "fdr_bp", "fnr_bp", "rmse_f", "fdr_f",
                 "fnr_f", "sigma_hat", "runtime_s")
@@ -74,23 +70,14 @@ class BenchmarkReport:
         return out
 
     def export_csv(self, path) -> None:
-        with open(path, "w") as fh:
-            fh.write(",".join(_CSV_FIELDS) + "\n")
-            for row in self.rows:
-                values = []
-                for name in _CSV_FIELDS:
-                    v = getattr(row, name)
-                    values.append("" if v is None else str(v))
-                fh.write(",".join(values) + "\n")
+        """One row per replicate and method, one column per field."""
+        write_csv(path, [f.name for f in fields(ReplicateRow)], zip(*map(astuple, self.rows)))
 
     def export_json(self, path) -> None:
-        payload = [
+        write_json(path, [
             {"sigma": sigma, "method": method, **summary}
             for (sigma, method), summary in sorted(self.averages().items())
-        ]
-        with open(path, "w") as fh:
-            json.dump(payload, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        ])
 
 
 def _fit_one(task) -> ReplicateRow:

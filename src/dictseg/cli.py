@@ -10,11 +10,9 @@ file, ``bench`` runs the replicated noise-level comparison and
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import sys
 from dataclasses import replace
-from pathlib import Path
 
 import numpy as np
 
@@ -43,16 +41,12 @@ def _truth_payload(truth: SeriesTruth, n: int) -> dict:
 
 
 def cmd_simulate(args) -> int:
-    rng = np.random.default_rng(args.seed)
-    series, truth = simulate_series(args.n, args.sigma, rng)
-    with open(args.out, "w") as fh:
-        fh.write("value\n")
-        for v in series.values:
-            fh.write(f"{float(v)!r}\n")
+    if args.seed < 0:
+        raise ValidationError(f"--seed must be nonnegative, got {args.seed}")
+    series, truth = simulate_series(args.n, args.sigma, np.random.default_rng(args.seed))
+    dio.write_csv(args.out, ["value"], [series.values])
     if args.truth:
-        with open(args.truth, "w") as fh:
-            json.dump(_truth_payload(truth, series.n), fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        dio.write_json(args.truth, _truth_payload(truth, series.n))
     print(f"wrote {series.n} observations to {args.out}")
     return 0
 
@@ -103,8 +97,7 @@ def cmd_fit(args) -> int:
         events = dio.load_event_priors(args.event_priors)
         hyper = dio.apply_event_priors(hyper, events, series)
 
-    out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    out_dir = dio.output_dir(args.out_dir)
     mh_seed, gibbs_seed = cfg.seeds()
     ctx = build_context(series, hyper, design, cfg.mode)
     if args.stage == "gibbs":
@@ -115,7 +108,7 @@ def cmd_fit(args) -> int:
         trace, incl, selection = search(ctx, cfg.mh_config(seed=mh_seed))
         dio.write_selection(selection, out_dir / "selection.json")
         if args.save_trace:
-            trace.export_csv(out_dir / "mh_trace.csv")
+            dio.write_trace(trace, out_dir / "mh_trace.csv")
         if args.stage == "mh":
             print(f"wrote selection to {out_dir / 'selection.json'}")
             return 0
@@ -123,7 +116,7 @@ def cmd_fit(args) -> int:
                     cfg.gibbs_config(seed=gibbs_seed, store_trace=args.save_draws),
                     inclusion=incl)
     if fit.trace is not None:
-        fit.trace.export_csv(out_dir / "gibbs_draws.csv")
+        dio.write_draws(fit.trace, out_dir / "gibbs_draws.csv")
     paths = dio.write_results(fit, trace, series, out_dir, atom_labels=labels)
     print(f"wrote results to {paths['summary']}")
     return 0
@@ -131,11 +124,7 @@ def cmd_fit(args) -> int:
 
 def _load_json(path, keys: tuple[str, ...]) -> dict:
     """A JSON object that holds every key in ``keys``."""
-    try:
-        with open(path) as fh:
-            payload = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise DataError(f"cannot read inputs: {exc}") from exc
+    payload = dio.read_input(path, "metrics input", json.load)
     missing = [k for k in keys if k not in payload] if isinstance(payload, dict) else keys
     if missing:
         raise DataError(f"{path} lacks {', '.join(missing)}")
@@ -199,11 +188,9 @@ def cmd_metrics(args) -> int:
         f_hat = np.array(_field(est, args.estimate, "f_hat", _numbers, numbers))
         rmse_f, fdr_f, fnr_f = functional_metrics(f_hat, atoms, truth)
         report.update({"rmse_f": rmse_f, "fdr_f": fdr_f, "fnr_f": fnr_f})
-    text = json.dumps(report, indent=2, sort_keys=True)
     if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text + "\n")
-    print(text)
+        dio.write_json(args.out, report)
+    print(json.dumps(report, indent=2, sort_keys=True))
     return 0
 
 
@@ -217,8 +204,7 @@ def cmd_bench(args) -> int:
     report = run_benchmark(levels, args.replicates, methods=methods, config=cfg,
                            master_seed=args.seed, n=args.n, family=args.family,
                            n_jobs=args.jobs)
-    out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    out_dir = dio.output_dir(args.out_dir)
     report.export_csv(out_dir / "replicates.csv")
     report.export_json(out_dir / "summary.json")
     for (sigma, method), summary in sorted(report.averages().items()):
@@ -233,11 +219,7 @@ def cmd_dict(args) -> int:
     covariate = np.arange(1, args.n + 1, dtype=float)
     series = TimeSeries(values=np.zeros(args.n), covariate=covariate)
     design, labels = resolve_design(args.preset, series)
-    with open(args.out, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(labels)
-        for row in design.matrix:
-            writer.writerow([repr(float(v)) for v in row])
+    dio.write_csv(args.out, labels, design.matrix.T)
     print(f"wrote {design.n}x{design.num_atoms} design to {args.out}")
     return 0
 
@@ -307,9 +289,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.handler(args)
-    except (DictsegError, OSError) as exc:
-        # a failed output write is a data error, as a failed read is
-        print(f"error ({getattr(exc, 'category', 'data')}): {exc}", file=sys.stderr)
+    except DictsegError as exc:
+        print(f"error ({exc.category}): {exc}", file=sys.stderr)
         return 2
 
 

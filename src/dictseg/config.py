@@ -13,8 +13,9 @@ from typing import get_type_hints
 
 import numpy as np
 
-from .errors import DataError
+from .errors import DataError, ValidationError
 from .gibbs import GibbsConfig
+from .io import read_input
 from .mh import MHConfig
 from .posterior import MODE_P, MODE_SP, Hyperparameters
 
@@ -40,6 +41,8 @@ class RunConfig:
     def validate(self) -> "RunConfig":
         """Check every setting by building the prior and the two stages'
         configs from it."""
+        if self.seed < 0:
+            raise ValidationError(f"seed must be nonnegative, got {self.seed}")
         Hyperparameters.flat(2, 2, c1=self.c1, c2=self.c2, pi=self.pi, eta=self.eta)
         self.mh_config()
         self.gibbs_config()
@@ -88,6 +91,8 @@ class RunConfig:
 
 
 def derive_seeds(master_seed: int, count: int) -> list[int]:
+    if master_seed < 0:
+        raise ValidationError(f"seed must be nonnegative, got {master_seed}")
     children = np.random.SeedSequence(master_seed).spawn(count)
     return [int(c.generate_state(1, np.uint64)[0]) for c in children]
 
@@ -124,12 +129,7 @@ def serialize_config(cfg: RunConfig) -> str:
 
 
 def load_config(path, base: RunConfig | None = None) -> RunConfig:
-    try:
-        with open(path) as fh:
-            text = fh.read()
-    except OSError as exc:
-        raise DataError(f"cannot read config {path}: {exc}") from exc
-    return parse_config(text, base=base)
+    return parse_config(read_input(path, "config", lambda fh: fh.read()), base=base)
 
 
 def sensitivity_presets() -> dict[int, RunConfig]:

@@ -154,11 +154,8 @@ def load_design_matrix(path) -> DesignMatrix:
     """Read a custom design from CSV: header row of atom
     labels, then n rows by M columns.  The first column is forced to
     ones after checking it is constant."""
-    try:
-        with open(path, newline="") as fh:
-            rows = list(csv.reader(fh))
-    except OSError as exc:
-        raise DataError(f"cannot read dictionary file {path}: {exc}") from exc
+    from .io import read_input  # not at the top: io imports this module through posterior
+    rows = read_input(path, "dictionary file", lambda fh: list(csv.reader(fh)))
     if len(rows) < 2:
         raise DataError(f"dictionary file {path} needs a header plus data rows")
     labels = tuple(s.strip() for s in rows[0])

@@ -76,19 +76,6 @@ class GibbsTrace:
     positions: tuple[int, ...]
     atoms: tuple[int, ...] | None
 
-    def export_csv(self, path) -> None:
-        cols = [f"beta@{p}" for p in self.positions]
-        if self.atoms is not None:
-            cols += [f"lambda@{a}" for a in self.atoms]
-        with open(path, "w") as fh:
-            fh.write("iteration," + ",".join(cols) + ",sigma2\n")
-            for t in range(len(self.sigma2)):
-                row = [str(t)] + [repr(float(v)) for v in self.beta[t]]
-                if self.lam is not None:
-                    row += [repr(float(v)) for v in self.lam[t]]
-                row.append(repr(float(self.sigma2[t])))
-                fh.write(",".join(row) + "\n")
-
 
 @dataclass(frozen=True)
 class FitResult:

@@ -1,31 +1,43 @@
-"""Series ingestion, event-prior files, result serialization."""
+"""Series ingestion, event-prior files, result serialization; every file
+the package writes goes through ``write_csv`` or ``write_json``."""
 
 from __future__ import annotations
 
 import csv
 import json
+from contextlib import contextmanager
 from dataclasses import dataclass
+from itertools import chain, repeat
 from pathlib import Path
 
 import numpy as np
 
 from .errors import DataError, ValidationError
-from .gibbs import FitResult
-from .mh import MHTrace
+from .gibbs import FitResult, GibbsTrace
+from .mh import TARGET_GAMMA, MHTrace
 from .posterior import MODE_SP, Hyperparameters, LatentState
 from .stepmodel import TimeSeries
+
+
+def read_input(path, what: str, parse):
+    """``parse(fh)`` of a UTF-8 text file; a file that cannot be read or
+    decoded, or that ``parse`` rejects with a ValueError, is a DataError."""
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            return parse(fh)
+    except (OSError, ValueError) as exc:  # ValueError: bad UTF-8 or bad JSON
+        raise DataError(f"cannot read {what} {path}: {exc}") from exc
+
+
+def _csv_rows(fh) -> list[list[str]]:
+    return [row for row in csv.reader(fh) if row]
 
 
 def load_series(path) -> TimeSeries:
     """Read a series from CSV: one row per time, either a single value
     column or (label, value).  A header row is skipped if its value
     field is not numeric."""
-    try:
-        with open(path, newline="") as fh:
-            rows = [r for r in csv.reader(fh)]
-    except OSError as exc:
-        raise DataError(f"cannot read series {path}: {exc}") from exc
-    rows = [r for r in rows if r]
+    rows = read_input(path, "series", _csv_rows)
     if not rows:
         raise DataError(f"series file {path} is empty")
     width = len(rows[0])
@@ -64,13 +76,8 @@ class EventPriorFile:
 
 
 def load_event_priors(path) -> EventPriorFile:
-    try:
-        with open(path, newline="") as fh:
-            raw = [r for r in csv.reader(fh) if r]
-    except OSError as exc:
-        raise DataError(f"cannot read event file {path}: {exc}") from exc
     rows = []
-    for i, row in enumerate(raw, start=1):
+    for i, row in enumerate(read_input(path, "event file", _csv_rows), start=1):
         if len(row) != 2:
             raise DataError(f"{path}: row {i} needs (position-or-label, probability)")
         key = row[0].strip()
@@ -117,18 +124,62 @@ def apply_event_priors(base: Hyperparameters, events: EventPriorFile,
     return Hyperparameters(c1=base.c1, pi=pi, c2=base.c2, eta=base.eta)
 
 
+def output_dir(path) -> Path:
+    """Create an output directory (and its parents) if it is missing."""
+    out = Path(path)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise DataError(f"cannot create output directory {out}: {exc}") from exc
+    return out
+
+
+@contextmanager
+def _created(path):
+    """A new UTF-8 text file; a failed open or write is a DataError."""
+    try:
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            yield fh
+    except OSError as exc:
+        raise DataError(f"cannot write {path}: {exc}") from exc
+
+
+def _cells(column):
+    """A column's values; an array's as Python objects, a slice at a
+    time (iterating the array itself makes a numpy scalar per value,
+    which is slower to create and to print)."""
+    if isinstance(column, np.ndarray):
+        return chain.from_iterable(column[i:i + 4096].tolist()
+                                   for i in range(0, len(column), 4096))
+    return column
+
+
+def write_csv(path, header, columns) -> None:
+    """Write equal-length columns under a header row: UTF-8, LF line
+    ends, floats as their repr, a field quoted only where it holds a
+    comma, a double quote or a newline.  Rows are formatted one at a time
+    from the columns, so no whole table is held as text."""
+    with _created(path) as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(zip(*map(_cells, columns), strict=True))
+
+
+def write_json(path, payload) -> None:
+    """Write a JSON document: 2-space indent, sorted keys, final newline."""
+    with _created(path) as fh:
+        fh.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+
+
 def write_results(fit: FitResult, trace: MHTrace, series: TimeSeries,
                   out_dir, atom_labels=None) -> dict[str, Path]:
     """Write the inclusion table, the reconstruction table and a JSON
     summary; returns the created paths.  Re-running with identical
     inputs produces byte-identical files."""
-    out = Path(out_dir)
-    try:
-        out.mkdir(parents=True, exist_ok=True)
-    except OSError as exc:
-        raise DataError(f"cannot create output directory {out}: {exc}") from exc
+    out = output_dir(out_dir)
     sp = fit.mode == MODE_SP
     incl = fit.inclusion
+    n = series.n
     paths = {
         "inclusion": out / "inclusion.csv",
         "reconstruction": out / "reconstruction.csv",
@@ -137,64 +188,53 @@ def write_results(fit: FitResult, trace: MHTrace, series: TimeSeries,
 
     selected_positions = set(fit.positions)
     selected_atoms = set(fit.atoms) if sp else set()
+
+    def part(kind, size, labels, probs, selected):
+        """The inclusion table's columns for one inclusion vector."""
+        return [repeat(kind, size), range(1, size + 1), labels,
+                repeat("", size) if probs is None else _cells(probs),
+                (int(i in selected) for i in range(1, size + 1))]
+
+    positions = part("position", n, series.labels or repeat("", n),
+                     incl and incl.gamma_prob, selected_positions)
+    atoms = [()] * len(positions)
     if sp:
         num_atoms = len(incl.r_prob) if incl is not None else len(atom_labels or [])
         labels = atom_labels or [""] * num_atoms
-    try:
-        with open(paths["inclusion"], "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["kind", "index", "label", "probability", "selected"])
-            for i in range(series.n):
-                label = series.labels[i] if series.labels else ""
-                prob = repr(float(incl.gamma_prob[i])) if incl is not None else ""
-                writer.writerow(["position", i + 1, label, prob,
-                                 int(i + 1 in selected_positions)])
-            if sp:
-                for j in range(num_atoms):
-                    prob = repr(float(incl.r_prob[j])) if incl is not None else ""
-                    writer.writerow(["atom", j + 1, labels[j], prob,
-                                     int(j + 1 in selected_atoms)])
+        atoms = part("atom", num_atoms, labels, incl and incl.r_prob, selected_atoms)
+    write_csv(paths["inclusion"], ["kind", "index", "label", "probability", "selected"],
+              map(chain, positions, atoms))
 
-        mu_hat = fit.mean_path(series.n)
-        columns = {"y": series.values, "mu_hat": mu_hat}
-        if sp:
-            columns["f_hat"] = fit.f_hat
-        columns["fit"] = mu_hat + fit.f_hat if sp else mu_hat
-        rows = zip(map(str, range(1, series.n + 1)),
-                   *(map(repr, map(float, col)) for col in columns.values()))
-        with open(paths["reconstruction"], "w") as fh:
-            fh.write(",".join(["t", *columns]) + "\n")
-            # row by row: all rows of a 20000-point series formatted at
-            # once hold about 7 MB of strings
-            fh.writelines(",".join(row) + "\n" for row in rows)
+    mu_hat = fit.mean_path(n)
+    columns = {"y": series.values, "mu_hat": mu_hat}
+    if sp:
+        columns["f_hat"] = fit.f_hat
+    columns["fit"] = mu_hat + fit.f_hat if sp else mu_hat
+    write_csv(paths["reconstruction"], ["t", *columns], [range(1, n + 1), *columns.values()])
 
-        summary = {
-            "mode": fit.mode,
-            "n": series.n,
-            "k_hat": fit.k_hat,
-            "change_points": list(fit.segmentation_hat.change_points),
-            "means": list(fit.segmentation_hat.means),
-            "sigma_hat": fit.sigma_hat,
-            "selected_positions": sorted(selected_positions),
-            "acceptance": {
-                "overall": trace.acceptance_rate() if trace is not None else None,
-                "gamma": trace.acceptance_rate("gamma") if trace is not None else None,
-                "by_block": (list(trace.acceptance_by_block()) if trace is not None
-                             else None),
-            },
-        }
-        if sp:
-            summary["selected_atoms"] = [
-                {"index": a, "label": labels[a - 1] if a <= len(labels) else ""}
-                for a in sorted(selected_atoms)
-            ]
-            summary["f_hat"] = [float(v) for v in fit.f_hat]
-            if trace is not None:
-                summary["acceptance"]["r"] = trace.acceptance_rate("r")
-        with open(paths["summary"], "w") as fh:
-            fh.write(json.dumps(summary, indent=2, sort_keys=True) + "\n")
-    except OSError as exc:
-        raise DataError(f"cannot write results under {out}: {exc}") from exc
+    summary = {
+        "mode": fit.mode,
+        "n": n,
+        "k_hat": fit.k_hat,
+        "change_points": list(fit.segmentation_hat.change_points),
+        "means": list(fit.segmentation_hat.means),
+        "sigma_hat": fit.sigma_hat,
+        "selected_positions": sorted(selected_positions),
+        "acceptance": dict.fromkeys(("overall", "gamma", "by_block")),
+    }
+    if trace is not None:
+        summary["acceptance"] = {"overall": trace.acceptance_rate(),
+                                 "gamma": trace.acceptance_rate("gamma"),
+                                 "by_block": list(trace.acceptance_by_block())}
+    if sp:
+        summary["selected_atoms"] = [
+            {"index": a, "label": labels[a - 1] if a <= len(labels) else ""}
+            for a in sorted(selected_atoms)
+        ]
+        summary["f_hat"] = [float(v) for v in fit.f_hat]
+        if trace is not None:
+            summary["acceptance"]["r"] = trace.acceptance_rate("r")
+    write_json(paths["summary"], summary)
     return paths
 
 
@@ -202,9 +242,30 @@ def write_selection(selection: LatentState, path) -> None:
     payload = {"positions": [int(p) for p in selection.positions()]}
     if selection.r is not None:
         payload["atoms"] = [int(a) for a in selection.atoms()]
-    with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(path, payload)
+
+
+def write_trace(trace: MHTrace, path) -> None:
+    """One row per search iteration: iteration, target, accepted,
+    log_density and the changed 1-based indices joined by ';'."""
+    changed = (";".join(map(str, (trace.changed_indices(t) + 1).tolist()))
+               for t in range(len(trace)))
+    write_csv(path, ["iteration", "target", "accepted", "log_density", "changed"], [
+        range(len(trace)),
+        ("gamma" if w == TARGET_GAMMA else "r" for w in _cells(trace.which)),
+        map(int, _cells(trace.accepted)),
+        trace.log_density,
+        changed,
+    ])
+
+
+def write_draws(trace: GibbsTrace, path) -> None:
+    """One row per coefficient draw: iteration, each beta, each lambda,
+    sigma2."""
+    lam = () if trace.lam is None else trace.lam.T
+    write_csv(path, ["iteration", *(f"beta@{p}" for p in trace.positions),
+                     *(f"lambda@{a}" for a in trace.atoms or ()), "sigma2"],
+              [range(len(trace.sigma2)), *trace.beta.T, *lam, trace.sigma2])
 
 
 def _selected(values, size: int, what: str, path) -> np.ndarray:
@@ -223,11 +284,7 @@ def _selected(values, size: int, what: str, path) -> np.ndarray:
 
 
 def load_selection(path, n: int, num_atoms: int | None) -> LatentState:
-    try:
-        with open(path) as fh:
-            payload = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise DataError(f"cannot read selection {path}: {exc}") from exc
+    payload = read_input(path, "selection", json.load)
     if not isinstance(payload, dict):
         raise DataError(f"{path}: a selection is a JSON object")
     gamma = _selected(payload.get("positions", []), n, "position", path)

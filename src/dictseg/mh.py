@@ -569,17 +569,6 @@ class MHTrace:
         edges = list(range(0, total, block)) + [total]
         return np.array([self.accepted[a:b].mean() for a, b in zip(edges, edges[1:])])
 
-    def export_csv(self, path) -> None:
-        """One row per iteration: iteration, target, accepted,
-        log_density, changed 1-based indices joined by ';'."""
-        with open(path, "w") as fh:
-            fh.write("iteration,target,accepted,log_density,changed\n")
-            for t in range(len(self)):
-                target = "gamma" if self.which[t] == TARGET_GAMMA else "r"
-                changed = ";".join(str(int(i) + 1) for i in self.changed_indices(t))
-                fh.write(f"{t},{target},{int(self.accepted[t])},"
-                         f"{float(self.log_density[t])!r},{changed}\n")
-
 
 def _sample_initial(ctx: PosteriorContext, config: MHConfig,
                     rng: np.random.Generator) -> LatentState:

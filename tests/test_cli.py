@@ -48,6 +48,12 @@ class TestSimulate:
         assert code == 2
         assert "error (data)" in capsys.readouterr().err
 
+    def test_negative_seed_is_a_validation_error(self, workspace, capsys):
+        out = workspace / "series.csv"
+        assert main(["simulate", "--seed", "-2", "--out", str(out)]) == 2
+        assert "error (validation)" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestFitAndMetrics:
     def test_full_pipeline(self, workspace, capsys):
@@ -158,6 +164,20 @@ class TestFitAndMetrics:
         want = f"{path} lacks {field}" if value is MISSING else f"{path}: {field} must be"
         assert f"error (data): {want}" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("how", ["option", "config"])
+    def test_negative_seed_is_a_validation_error(self, workspace, capsys, how):
+        series = workspace / "series.csv"
+        assert main(["simulate", "--n", "60", "--out", str(series)]) == 0
+        args = ["fit", "--input", str(series), "--out-dir", str(workspace / "x"), "--mode", "p"]
+        if how == "option":
+            args += ["--seed", "-1"]
+        else:
+            (workspace / "seed.cfg").write_text("seed = -1\n")
+            args += ["--config", str(workspace / "seed.cfg")]
+        assert main(args) == 2
+        assert "error (validation): seed must be nonnegative" in capsys.readouterr().err
+        assert not (workspace / "x").exists()
+
     def test_missing_input_is_a_data_error(self, workspace, capsys):
         code = main(["fit", "--input", str(workspace / "none.csv"),
                      "--out-dir", str(workspace / "y"), "--mode", "p"])
@@ -242,12 +262,12 @@ class TestFitAndMetrics:
 SEARCH_DIGESTS = {
     "sp": {
         "selection.json": "5c2c29c2e239cec0d533870f2ec84981d43b523a7d95c235d6c395237336b3a7",
-        "inclusion.csv": "beb9dd35407cf3e17c11d939c0617fda0317d23afff5ec4190ff774c44b43343",
+        "inclusion.csv": "5e437c1faade00949601ff39ebb50a6530dfcab40eff2496b0141aa25af432be",
         "mh_trace.csv": "89ddf3d7ea02aea5c4dafa9f0dc97a759451b0cd9a9e7e1bc8f3a6acb76ef7d0",
     },
     "p": {
         "selection.json": "2bc5860db375244fdc371415fb2377e97186257328d322343c8a9584ad19ce7f",
-        "inclusion.csv": "d47aa031416acc8c4d0b8a5119a3dd27f0c2780dc501d95159e0962e0a1dcad2",
+        "inclusion.csv": "a2325b96ae98ba325d07ae0e4eaad77cab1a360474ff6938b1c7eed96b4f108c",
         "mh_trace.csv": "8f14376720eb26ce6894528164ca62cd2c1795a2930aabd699fb35838107479c",
     },
 }
@@ -367,8 +387,10 @@ class TestBench:
         assert "error (validation)" in capsys.readouterr().err
 
     @pytest.mark.parametrize("option", [["--replicates", "0"], ["--sigmas", "0.1,abc"],
-                                        ["--sigmas", "0.1,-1"], ["--methods", "sp,pp"]],
-                             ids=["replicates", "sigmas", "negative-sigma", "methods"])
+                                        ["--sigmas", "0.1,-1"], ["--methods", "sp,pp"],
+                                        ["--seed", "-3"]],
+                             ids=["replicates", "sigmas", "negative-sigma", "methods",
+                                  "negative-seed"])
     def test_bad_input_is_a_validation_error(self, workspace, capsys, option):
         code = main(["bench", "--sigmas", "0.1", "--replicates", "1",
                      "--config", str(workspace / "fast.cfg"), *option,

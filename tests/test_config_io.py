@@ -13,6 +13,7 @@ from dictseg import (
     TimeSeries,
     ValidationError,
     apply_event_priors,
+    derive_seeds,
     load_event_priors,
     load_selection,
     load_series,
@@ -52,6 +53,12 @@ class TestRunConfig:
                 RunConfig(**prior).validate()
         with pytest.raises(ValidationError):
             RunConfig(mode="both").validate()
+
+    def test_negative_seed_is_rejected(self):
+        with pytest.raises(ValidationError):
+            RunConfig(seed=-1).validate()
+        with pytest.raises(ValidationError):
+            derive_seeds(-1, 2)
 
     def test_gibbs_burn_in_is_ignored(self, tmp_path):
         path = tmp_path / "run.cfg"

@@ -17,6 +17,7 @@ from dictseg import (
     run_gibbs,
     simulation_design,
 )
+from dictseg.io import write_draws
 from conftest import design_of, make_state, small_context
 from oracles import (
     batch_means_mcse,
@@ -239,7 +240,7 @@ class TestRunGibbs:
         selection = make_state([1, 9], 24, [1, 3], 3)
         fit = run_gibbs(ctx, selection, GibbsConfig(total_iterations=50, seed=13))
         path = tmp_path / "draws.csv"
-        fit.trace.export_csv(path)
+        write_draws(fit.trace, path)
         lines = path.read_text().splitlines()
         assert lines[0] == "iteration,beta@1,beta@9,lambda@1,lambda@3,sigma2"
         assert len(lines) == 51

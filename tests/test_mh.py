@@ -20,6 +20,7 @@ from dictseg import (
     run_metropolis_hastings,
     select_median_probability_model,
 )
+from dictseg.io import write_trace
 from conftest import design_of, indicator, make_state, proposal_hits, small_context
 from oracles import sequential_chain
 
@@ -257,7 +258,7 @@ class TestTraceExport:
     def test_csv_round_trip(self, tmp_path):
         ctx, config, trace = run_small_chain(total=200, burn_in=50)
         path = tmp_path / "trace.csv"
-        trace.export_csv(path)
+        write_trace(trace, path)
         with open(path) as fh:
             rows = list(csv.DictReader(fh))
         assert len(rows) == 200
