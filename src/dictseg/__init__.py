@@ -53,9 +53,8 @@ from .posterior import (
     LatentState,
     PosteriorContext,
     log_integrated_posterior,
-    log_prior_inclusion,
 )
 from .simulate import SeriesTruth, disturbance, make_series, simulate_series, true_atom_indices
-from .stepmodel import Segmentation, TimeSeries, apply_step, step_gram
+from .stepmodel import Segmentation, TimeSeries
 
 __version__ = "0.1.0"

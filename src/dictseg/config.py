@@ -43,6 +43,8 @@ class RunConfig:
         configs from it."""
         if self.seed < 0:
             raise ValidationError(f"seed must be nonnegative, got {self.seed}")
+        if self.mode not in (MODE_SP, MODE_P):
+            raise ValidationError(f"mode must be '{MODE_SP}' or '{MODE_P}'")
         Hyperparameters.flat(2, 2, c1=self.c1, c2=self.c2, pi=self.pi, eta=self.eta)
         self.mh_config()
         self.gibbs_config()
@@ -74,7 +76,7 @@ class RunConfig:
             total_iterations=self.iterations, burn_in=self.burn_in,
             flip_gamma=self.flip_gamma, flip_r=self.flip_r,
             init_segments=self.init_segments, init_functions=self.init_functions,
-            seed=self.seed if seed is None else seed, mode=self.mode,
+            seed=self.seed if seed is None else seed,
         )
 
     def gibbs_config(self, seed: int | None = None, store_trace: bool = True) -> GibbsConfig:

@@ -153,12 +153,15 @@ def fourier_design(covariate, floor: float) -> DesignMatrix:
 def load_design_matrix(path) -> DesignMatrix:
     """Read a custom design from CSV: header row of atom
     labels, then n rows by M columns.  The first column is forced to
-    ones after checking it is constant."""
+    ones after checking it is constant.  A label may not hold a carriage
+    return, which ``write_csv`` would leave unquoted."""
     from .io import read_input  # not at the top: io imports this module through posterior
     rows = read_input(path, "dictionary file", lambda fh: list(csv.reader(fh)))
     if len(rows) < 2:
         raise DataError(f"dictionary file {path} needs a header plus data rows")
     labels = tuple(s.strip() for s in rows[0])
+    if any("\r" in label for label in labels):
+        raise DataError(f"{path}: row 1 has a carriage return in an atom label")
     data = []
     for i, row in enumerate(rows[1:], start=2):
         if len(row) != len(labels):

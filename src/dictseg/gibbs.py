@@ -48,7 +48,7 @@ from scipy.linalg import cho_solve, solve_triangular
 from .errors import ComputeError, ValidationError
 from .mh import InclusionProbabilities
 from .posterior import MODE_SP, LatentState, PosteriorContext, _eliminate, _segment_algebra
-from .stepmodel import Segmentation, apply_step, step_gram
+from .stepmodel import Segmentation
 
 # Draws are made this many rows at a time, written into the trace's
 # arrays, so no full-size temporary is ever allocated.
@@ -111,8 +111,9 @@ class GibbsSampler:
 
     where a = (n + d_g + d_r)/2 and b is the residual sum of squares plus
     the two g-prior penalties beta'G beta/c1 and lambda'H lambda/c2
-    (segmentation-only: no lambda, a = (n + d_g)/2), with the explicit
-    step Gram G = Xg'Xg and H = Fr'Fr.
+    (segmentation-only: no lambda, a = (n + d_g)/2), with H = Fr'Fr and
+    the explicit step Gram G = Xg'Xg: column p of X is the indicator of
+    t >= p, so G[a, b] = n + 1 - max(p_a, p_b).
     """
 
     def __init__(self, ctx: PosteriorContext, selection: LatentState):
@@ -120,7 +121,7 @@ class GibbsSampler:
         self.ctx = ctx
         self.positions = selection.positions()
         self.d_gamma = self.positions.size
-        self.gram = step_gram(self.positions, ctx.n)
+        self.gram = (ctx.n + 1 - np.maximum.outer(self.positions, self.positions)).astype(float)
         self.chol_g = np.linalg.cholesky(self.gram)
         self.xty = ctx.suffix_y[self.positions - 1]
         self.s1 = ctx.hyper.c1 / (1.0 + ctx.hyper.c1)
@@ -167,7 +168,9 @@ class GibbsSampler:
         return self.lambda_mean(beta) + np.sqrt(sigma2 * self.s2) * noise
 
     def sigma2_b(self, beta: np.ndarray, lam: np.ndarray | None) -> float:
-        fit = apply_step(self.positions, beta, self.ctx.n)
+        jumps = np.zeros(self.ctx.n)
+        jumps[self.positions - 1] = beta
+        fit = np.cumsum(jumps)  # Xg @ beta
         penalty = float(beta @ self.gram @ beta) / self.ctx.hyper.c1
         if lam is not None:
             fit = fit + self.f_sel @ lam

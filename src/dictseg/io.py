@@ -36,7 +36,8 @@ def _csv_rows(fh) -> list[list[str]]:
 def load_series(path) -> TimeSeries:
     """Read a series from CSV: one row per time, either a single value
     column or (label, value).  A header row is skipped if its value
-    field is not numeric."""
+    field is not numeric.  A label may not hold a carriage return, which
+    ``write_csv`` would leave unquoted."""
     rows = read_input(path, "series", _csv_rows)
     if not rows:
         raise DataError(f"series file {path} is empty")
@@ -64,6 +65,8 @@ def load_series(path) -> TimeSeries:
         values.append(value)
         if width == 2:
             labels.append(row[0].strip())
+            if "\r" in labels[-1]:
+                raise DataError(f"{path}: row {i} has a carriage return in its label")
     return TimeSeries(values=np.array(values),
                       labels=tuple(labels) if width == 2 else None)
 

@@ -17,8 +17,6 @@ from .stepmodel import Segmentation
 
 def _match_count(detected, true, tolerance: int) -> int:
     """Greedy nearest matching of detected to true positions."""
-    if tolerance == 0:
-        return len(set(detected) & set(true))
     pairs = sorted(
         (abs(d - t), i, j)
         for i, d in enumerate(detected)

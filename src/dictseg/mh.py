@@ -69,7 +69,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import ComputeError, ValidationError
-from .posterior import MODE_P, MODE_SP, LatentState, PosteriorContext, evaluate_stack
+from .posterior import MODE_SP, LatentState, PosteriorContext, evaluate_stack
 
 TARGET_GAMMA = 0
 TARGET_R = 1
@@ -86,7 +86,6 @@ class MHConfig:
     init_segments: int = 3
     init_functions: int = 3
     seed: int = 0
-    mode: str = MODE_SP
 
     def __post_init__(self):
         if self.total_iterations < 1:
@@ -97,8 +96,6 @@ class MHConfig:
             raise ValidationError("flip counts must be >= 1")
         if self.init_segments < 1 or self.init_functions < 1:
             raise ValidationError("initial counts must be >= 1")
-        if self.mode not in (MODE_SP, MODE_P):
-            raise ValidationError(f"mode must be '{MODE_SP}' or '{MODE_P}'")
 
 
 @dataclass(frozen=True)
@@ -442,13 +439,9 @@ def _flip(selected: np.ndarray, flips: np.ndarray, pad: int) -> np.ndarray:
 class MHTrace:
     """Initial state plus the log of accepted flips of one chain."""
 
-    def __init__(self, n, num_atoms, mode, initial_gamma, initial_r,
-                 initial_log_density, which, accepted, log_density,
-                 flip_offsets, flip_indices, neg_inf=(0, 0),
+    def __init__(self, initial_gamma, initial_r, initial_log_density, which, accepted,
+                 log_density, flip_offsets, flip_indices, neg_inf=(0, 0),
                  evaluator_calls=0, candidates_evaluated=0, proposals_drawn=0):
-        self.n = n
-        self.num_atoms = num_atoms
-        self.mode = mode
         self.initial_gamma = initial_gamma
         self.initial_r = initial_r
         self.initial_log_density = initial_log_density
@@ -592,9 +585,7 @@ def _sample_initial(ctx: PosteriorContext, config: MHConfig,
 
 
 def run_metropolis_hastings(ctx: PosteriorContext, config: MHConfig) -> MHTrace:
-    """Run one chain; deterministic given (ctx, config, seed)."""
-    if config.mode != ctx.mode:
-        raise ValidationError(f"config mode {config.mode!r} does not match context {ctx.mode!r}")
+    """Run one chain in ``ctx.mode``; deterministic given (ctx, config)."""
     # default_rng's stream; _draw_block decodes PCG64's raw words
     rng = np.random.Generator(np.random.PCG64(config.seed))
     n = ctx.n
@@ -680,7 +671,6 @@ def run_metropolis_hastings(ctx: PosteriorContext, config: MHConfig) -> MHTrace:
     flip_indices = (np.concatenate(flip_chunks).astype(np.int32)
                     if flip_chunks else np.empty(0, dtype=np.int32))
     return MHTrace(
-        n=n, num_atoms=m, mode=ctx.mode,
         initial_gamma=state.gamma, initial_r=state.r,
         initial_log_density=initial_log_density,
         which=which, accepted=accepted, log_density=log_density,

@@ -22,7 +22,7 @@ from .mh import (
     run_metropolis_hastings,
     select_median_probability_model,
 )
-from .posterior import MODE_SP, Hyperparameters, LatentState, PosteriorContext
+from .posterior import MODE_P, MODE_SP, Hyperparameters, LatentState, PosteriorContext
 from .stepmodel import TimeSeries
 
 
@@ -30,13 +30,12 @@ from .stepmodel import TimeSeries
 class FitOutput:
     fit: FitResult
     mh_trace: MHTrace
-    inclusion: InclusionProbabilities
     selection: LatentState
 
 
 def build_context(series: TimeSeries, hyper: Hyperparameters,
                   design: DesignMatrix | None, mode: str) -> PosteriorContext:
-    return PosteriorContext(series, hyper, design if mode == MODE_SP else None, mode)
+    return PosteriorContext(series, hyper, design, mode)
 
 
 def search(ctx: PosteriorContext, mh_config: MHConfig
@@ -51,7 +50,10 @@ def search(ctx: PosteriorContext, mh_config: MHConfig
 def fit_series(series: TimeSeries, hyper: Hyperparameters,
                mh_config: MHConfig, gibbs_config: GibbsConfig,
                design: DesignMatrix | None = None) -> FitOutput:
-    ctx = build_context(series, hyper, design, mh_config.mode)
+    """Both stages on one series: mode sp with the given design, mode p
+    without one.  ``out.fit.inclusion`` holds the search's inclusion
+    probabilities."""
+    ctx = build_context(series, hyper, design, MODE_P if design is None else MODE_SP)
     trace, incl, selection = search(ctx, mh_config)
     fit = run_gibbs(ctx, selection, gibbs_config, inclusion=incl)
-    return FitOutput(fit=fit, mh_trace=trace, inclusion=incl, selection=selection)
+    return FitOutput(fit=fit, mh_trace=trace, selection=selection)

@@ -5,9 +5,7 @@ A segmentation with K segments is given by its step positions, the
 by its segment means; the step coefficients beta are the jumps between
 consecutive means.  The step design matrix X is lower triangular with
 ones on and below the diagonal, so X @ beta is the piecewise-constant
-mean path.  X is never materialized: products with it reduce to
-cumulative/suffix sums and its Gram matrix has the closed form
-G[a, b] = n + 1 - max(p_a, p_b).
+mean path.
 """
 
 from __future__ import annotations
@@ -86,10 +84,6 @@ class Segmentation:
         object.__setattr__(self, "change_points", cps)
         object.__setattr__(self, "means", means)
 
-    @property
-    def num_segments(self) -> int:
-        return len(self.means)
-
     def mean_path(self, n: int) -> np.ndarray:
         """The n-vector mu(t), t = 1..n."""
         if self.change_points and self.change_points[-1] >= n:
@@ -99,28 +93,3 @@ class Segmentation:
         for mu, lo, hi in zip(self.means, bounds, bounds[1:]):
             out[lo:hi] = mu
         return out
-
-
-def step_gram(positions, n: int) -> np.ndarray:
-    """Gram matrix of the selected step columns, in closed form.
-
-    Column p of X is the indicator of t >= p, so the inner product of
-    columns p_a and p_b counts the overlap: n + 1 - max(p_a, p_b).
-    Symmetric positive definite whenever the positions are distinct.
-    """
-    pos = np.asarray(positions, dtype=np.int64)
-    if pos.size == 0:
-        raise ValidationError("need at least one position")
-    if pos.min() < 1 or pos.max() > n:
-        raise ValidationError(f"positions must lie in [1, {n}]")
-    if len(np.unique(pos)) != pos.size:
-        raise ValidationError("positions must be distinct")
-    return (n + 1 - np.maximum.outer(pos, pos)).astype(float)
-
-
-def apply_step(positions, values, n: int) -> np.ndarray:
-    """X_gamma @ beta_gamma as an n-vector via one cumulative sum."""
-    out = np.zeros(n)
-    pos = np.asarray(positions, dtype=np.int64)
-    out[pos - 1] = np.asarray(values, dtype=float)
-    return np.cumsum(out)

@@ -9,9 +9,10 @@ The coefficient stage's closed form is pinned by the joint normal
 equations on the explicit design and by a chain over the full
 conditionals.  The block Metropolis-Hastings kernel is pinned by the
 sequential chain it replaces, which scores one proposal at a time.
-Nothing here shares code with the paths under test beyond the prior
-helper, the conditionals, the initial-state draw and the proposal
-draw themselves.
+The log prior is summed here over every bit, not over the selected
+indices as the package sums it.  Nothing here shares code with the
+paths under test beyond the conditionals, the initial-state draw and
+the proposal draw themselves.
 """
 
 from __future__ import annotations
@@ -29,7 +30,6 @@ from dictseg import (
     PosteriorContext,
     ValidationError,
     log_integrated_posterior,
-    log_prior_inclusion,
 )
 from dictseg.mh import TARGET_GAMMA, TARGET_R, _draw_flip_indices, _sample_initial
 from dictseg.posterior import Q_FLOOR
@@ -44,6 +44,16 @@ def dense_step_matrix(n: int) -> np.ndarray:
 def dense_step_gram(positions, n: int) -> np.ndarray:
     x = dense_step_matrix(n)[:, np.asarray(positions, dtype=int) - 1]
     return x.T @ x
+
+
+def log_prior_inclusion(bits, probs) -> float:
+    """Independent-Bernoulli log prior of one inclusion vector: log p
+    over its set bits plus log(1 - p) over its clear bits, -inf where a
+    bit's value has prior probability 0."""
+    bits = np.asarray(bits, dtype=bool)
+    probs = np.asarray(probs, dtype=float)
+    with np.errstate(divide="ignore"):
+        return float(np.where(bits, np.log(probs), np.log1p(-probs)).sum())
 
 
 def log_integrated_posterior_dense(state: LatentState, ctx: PosteriorContext) -> float:
@@ -275,7 +285,6 @@ def sequential_chain(ctx: PosteriorContext, config, rng: np.random.Generator | N
     flip_indices = (np.concatenate(flip_chunks) if flip_chunks
                     else np.empty(0, dtype=np.int32))
     trace = MHTrace(
-        n=ctx.n, num_atoms=ctx.num_atoms, mode=ctx.mode,
         initial_gamma=initial_gamma, initial_r=initial_r,
         initial_log_density=initial_log_density,
         which=which, accepted=accepted, log_density=log_density,

@@ -145,8 +145,7 @@ def test_criterion_3_sampler_exactness_on_enumerable_space():
     exact = dict(zip(sids, probs))
 
     config = MHConfig(total_iterations=2_000_000, burn_in=500_000, flip_gamma=1,
-                      flip_r=1, init_segments=2, init_functions=2, seed=77,
-                      mode=MODE_SP)
+                      flip_r=1, init_segments=2, init_functions=2, seed=77)
     trace = run_metropolis_hastings(ctx, config)
     m = len(trace) - config.burn_in
     state_ids = np.empty(m, dtype=np.int32)
@@ -248,7 +247,7 @@ def low_noise_fits():
         ctx = standard_context(series)
         for seed in range(10):
             mh_seed = derive_seeds(seed, 2)[0]
-            config = MHConfig(seed=mh_seed, mode=MODE_SP)
+            config = MHConfig(seed=mh_seed)
             start = time.perf_counter()
             trace = run_metropolis_hastings(ctx, config)
             incl = inclusion_probabilities(trace, config.burn_in)
@@ -326,7 +325,7 @@ def test_criterion_7_particular_series_high_noise():
     rows = []
     for seed in range(10):
         mh_seed = derive_seeds(1000 + seed, 2)[0]
-        config = MHConfig(seed=mh_seed, mode=MODE_SP)
+        config = MHConfig(seed=mh_seed)
         trace = run_metropolis_hastings(ctx, config)
         incl = inclusion_probabilities(trace, config.burn_in)
         selection = select_median_probability_model(incl)
@@ -346,7 +345,7 @@ def test_criterion_8_determinism_and_invariances(rng):
     # byte-identical traces under a fixed seed
     series, _ = particular_series_low_noise()
     ctx = standard_context(series)
-    config = MHConfig(total_iterations=3000, burn_in=500, seed=123, mode=MODE_SP)
+    config = MHConfig(total_iterations=3000, burn_in=500, seed=123)
     t1 = run_metropolis_hastings(ctx, config)
     t2 = run_metropolis_hastings(ctx, config)
     identical = (np.array_equal(t1.accepted, t2.accepted)

@@ -1,9 +1,12 @@
 import hashlib
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from dictseg import RunConfig, fit_series, load_config, resolve_design
+from dictseg import io as dio
 from dictseg.cli import main
 
 FAST_CFG = """\
@@ -115,6 +118,36 @@ class TestFitAndMetrics:
         assert want.pop("acceptance")["overall"] is not None
         assert got == want
 
+    @pytest.mark.parametrize("mode", ["sp", "p"])
+    def test_fit_series_runs_the_mode_of_its_design(self, workspace, mode):
+        # the library call writes what `dictseg fit` writes: mode sp when
+        # given a design, mode p without one, whatever the config's mode
+        series_path = workspace / "series.csv"
+        assert main(["simulate", "--n", "100", "--sigma", "0.5", "--seed", "3",
+                     "--out", str(series_path)]) == 0
+        cli = workspace / "cli"
+        assert main(["fit", "--input", str(series_path), "--mode", mode, "--out-dir", str(cli),
+                     "--config", str(workspace / "fast.cfg"), "--seed", "5",
+                     "--save-trace", "--save-draws"]) == 0
+        cfg = load_config(workspace / "fast.cfg", base=replace(RunConfig(), seed=5))
+        series = dio.load_series(series_path)
+        design = labels = None
+        if mode == "sp":
+            design, labels = resolve_design(cfg.dictionary, series)
+        mh_seed, gibbs_seed = cfg.seeds()
+        hyper = cfg.hyperparameters(series.n, design.num_atoms if design else None)
+        out = fit_series(series, hyper, cfg.mh_config(seed=mh_seed),
+                         cfg.gibbs_config(seed=gibbs_seed), design=design)
+        assert out.fit.mode == mode
+        lib = workspace / "lib"
+        dio.write_results(out.fit, out.mh_trace, series, lib, atom_labels=labels)
+        dio.write_selection(out.selection, lib / "selection.json")
+        dio.write_trace(out.mh_trace, lib / "mh_trace.csv")
+        dio.write_draws(out.fit.trace, lib / "gibbs_draws.csv")
+        for name in ("selection.json", "mh_trace.csv", "inclusion.csv", "reconstruction.csv",
+                     "summary.json", "gibbs_draws.csv"):
+            assert (lib / name).read_bytes() == (cli / name).read_bytes(), name
+
     def test_gibbs_stage_requires_selection(self, workspace, capsys):
         series = workspace / "series.csv"
         main(["simulate", "--n", "60", "--sigma", "0.1", "--seed", "4",
@@ -176,6 +209,37 @@ class TestFitAndMetrics:
             args += ["--config", str(workspace / "seed.cfg")]
         assert main(args) == 2
         assert "error (validation): seed must be nonnegative" in capsys.readouterr().err
+        assert not (workspace / "x").exists()
+
+    def test_series_label_with_carriage_return_is_a_data_error(self, workspace, capsys):
+        # csv.writer would write the label unquoted and split its row
+        values = np.random.default_rng(1).normal(size=40).tolist()
+        labels = [f"d{i}" for i in range(1, 41)]
+        labels[5] = '"d\r6"'
+        series = workspace / "series.csv"
+        series.write_text("".join(f"{lab},{v!r}\n" for lab, v in zip(labels, values)))
+        code = main(["fit", "--input", str(series), "--out-dir", str(workspace / "x"),
+                     "--mode", "p", "--config", str(workspace / "fast.cfg")])
+        assert code == 2
+        assert (f"error (data): {series}: row 6 has a carriage return in its label"
+                in capsys.readouterr().err)
+        assert not (workspace / "x").exists()
+
+    def test_design_label_with_carriage_return_is_a_data_error(self, workspace, capsys):
+        series = workspace / "series.csv"
+        main(["simulate", "--n", "60", "--sigma", "0.1", "--seed", "4",
+              "--out", str(series)])
+        F = np.random.default_rng(2).normal(size=(60, 3))
+        F[:, 0] = 1.0
+        design = workspace / "design.csv"
+        design.write_text('a0,"a\r1",a2\n'
+                          + "".join(",".join(repr(float(v)) for v in row) + "\n" for row in F))
+        code = main(["fit", "--input", str(series), "--out-dir", str(workspace / "x"),
+                     "--mode", "sp", "--dictionary", f"file:{design}",
+                     "--config", str(workspace / "fast.cfg")])
+        assert code == 2
+        assert (f"error (data): {design}: row 1 has a carriage return in an atom label"
+                in capsys.readouterr().err)
         assert not (workspace / "x").exists()
 
     def test_missing_input_is_a_data_error(self, workspace, capsys):

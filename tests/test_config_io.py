@@ -260,7 +260,7 @@ class TestWriteResults:
         from conftest import small_context
         ctx = small_context(n=12, mode=MODE_SP if mode == "sp" else MODE_P)
         cfg = MHConfig(total_iterations=400, burn_in=100, flip_gamma=1, flip_r=1,
-                       init_segments=2, init_functions=2, seed=5, mode=ctx.mode)
+                       init_segments=2, init_functions=2, seed=5)
         trace = run_metropolis_hastings(ctx, cfg)
         incl = inclusion_probabilities(trace, cfg.burn_in)
         sel = select_median_probability_model(incl)

@@ -55,15 +55,14 @@ class TestProposeFlip:
         ctx = small_context(n=12)  # M = 3
         for flips in ({"flip_gamma": 12}, {"flip_r": 3}):
             config = MHConfig(total_iterations=5, burn_in=1, init_segments=2,
-                              init_functions=2, mode=MODE_SP, **flips)
+                              init_functions=2, **flips)
             with pytest.raises(ValidationError, match="exceeds"):
                 run_metropolis_hastings(ctx, config)
         # every free bit at once is allowed; mode p has no atoms to flip
         run_metropolis_hastings(ctx, MHConfig(total_iterations=5, burn_in=1, flip_gamma=11,
-                                              flip_r=2, mode=MODE_SP))
+                                              flip_r=2))
         run_metropolis_hastings(small_context(n=12, mode=MODE_P),
-                                MHConfig(total_iterations=5, burn_in=1, flip_r=3,
-                                         mode=MODE_P))
+                                MHConfig(total_iterations=5, burn_in=1, flip_r=3))
 
     def test_empirical_symmetry(self):
         # {1, 3} and {1, 4} differ in two free bits; the forward and
@@ -80,8 +79,7 @@ class TestProposeFlip:
 def run_small_chain(seed=5, total=4000, burn_in=1000, **kw):
     ctx = small_context(n=12)
     config = MHConfig(total_iterations=total, burn_in=burn_in, flip_gamma=1,
-                      flip_r=1, init_segments=2, init_functions=2, seed=seed,
-                      mode=MODE_SP, **kw)
+                      flip_r=1, init_segments=2, init_functions=2, seed=seed, **kw)
     return ctx, config, run_metropolis_hastings(ctx, config)
 
 
@@ -119,23 +117,17 @@ class TestRunChain:
     def test_mode_p_never_touches_atoms(self):
         ctx = small_context(n=12, mode=MODE_P)
         config = MHConfig(total_iterations=500, burn_in=100, flip_gamma=1,
-                          init_segments=2, seed=3, mode=MODE_P)
+                          init_segments=2, seed=3)
         trace = run_metropolis_hastings(ctx, config)
         assert trace.initial_r is None
         assert (trace.which == 0).all()
-
-    def test_mode_mismatch_rejected(self):
-        ctx = small_context(n=12)
-        config = MHConfig(mode=MODE_P)
-        with pytest.raises(ValidationError):
-            run_metropolis_hastings(ctx, config)
 
     def test_impossible_initialization_errors_out(self):
         n = 10
         series = TimeSeries(values=np.zeros(n))  # every state has -inf density
         hyper = Hyperparameters.flat(n, None, pi=0.2)
         ctx = PosteriorContext(series, hyper, None, MODE_P)
-        config = MHConfig(total_iterations=10, burn_in=1, mode=MODE_P,
+        config = MHConfig(total_iterations=10, burn_in=1,
                           init_segments=2, flip_gamma=1)
         with pytest.raises(ComputeError):
             run_metropolis_hastings(ctx, config)
@@ -151,8 +143,7 @@ class TestRunChain:
         hyper = Hyperparameters.flat(n, 3, pi=0.1, eta=0.45)
         ctx = PosteriorContext(series, hyper, design, MODE_SP)
         config = MHConfig(total_iterations=3000, burn_in=100, flip_gamma=1,
-                          flip_r=1, init_segments=1, init_functions=2, seed=1,
-                          mode=MODE_SP)
+                          flip_r=1, init_segments=1, init_functions=2, seed=1)
         trace = run_metropolis_hastings(ctx, config)
         for _, _, r in trace.iter_states(0):
             assert not (r[1] and r[2])
@@ -162,8 +153,8 @@ class TestInclusionProbabilities:
     def test_componentwise_means_match_replay(self):
         ctx, config, trace = run_small_chain()
         incl = inclusion_probabilities(trace, config.burn_in)
-        gamma_sum = np.zeros(trace.n)
-        r_sum = np.zeros(trace.num_atoms)
+        gamma_sum = np.zeros(ctx.n)
+        r_sum = np.zeros(ctx.num_atoms)
         count = 0
         for t, gamma, r in trace.iter_states(config.burn_in):
             gamma_sum += gamma
@@ -214,7 +205,7 @@ class TestInclusionProbabilities:
     def test_atom_target_needs_atoms(self):
         ctx = small_context(n=12, mode=MODE_P)
         config = MHConfig(total_iterations=200, burn_in=50, flip_gamma=1,
-                          init_segments=2, seed=3, mode=MODE_P)
+                          init_segments=2, seed=3)
         trace = run_metropolis_hastings(ctx, config)
         with pytest.raises(ValidationError):
             trace.acceptance_rate("r")
@@ -329,8 +320,7 @@ class TestBlockKernel:
     def test_same_chain_as_sequential_kernel(self, mode, flips, duplicate):
         ctx = chain_context(mode, duplicate)
         config = MHConfig(total_iterations=3000, burn_in=500, flip_gamma=flips[0],
-                          flip_r=flips[1], init_segments=3, init_functions=3, seed=17,
-                          mode=mode)
+                          flip_r=flips[1], init_segments=3, init_functions=3, seed=17)
         trace = run_metropolis_hastings(ctx, config)
         reference, neg_inf = sequential_chain(ctx, config)
         assert_same_chain(trace, reference)
@@ -344,7 +334,7 @@ class TestBlockKernel:
         # density -inf; the kernel counts them as the reference does
         ctx = chain_context(MODE_SP, duplicate=True)
         config = MHConfig(total_iterations=3000, burn_in=500, flip_gamma=1, flip_r=1,
-                          init_segments=3, init_functions=2, seed=4, mode=MODE_SP)
+                          init_segments=3, init_functions=2, seed=4)
         trace = run_metropolis_hastings(ctx, config)
         _, neg_inf = sequential_chain(ctx, config)
         assert trace.neg_inf == neg_inf
@@ -356,7 +346,7 @@ class TestBlockKernel:
     def test_block_length_does_not_change_the_chain(self, monkeypatch, cap):
         ctx = chain_context(MODE_SP, duplicate=True)
         config = MHConfig(total_iterations=1500, burn_in=500, flip_gamma=2, flip_r=2,
-                          init_segments=3, init_functions=3, seed=8, mode=MODE_SP)
+                          init_segments=3, init_functions=3, seed=8)
         default = run_metropolis_hastings(ctx, config)
         monkeypatch.setattr(mh, "MAX_BLOCK", cap)
         capped = run_metropolis_hastings(ctx, config)
@@ -557,7 +547,7 @@ class TestReplay:
     def chain(self, request):
         ctx = chain_context(request.param)
         config = MHConfig(total_iterations=3000, burn_in=500, flip_gamma=2, flip_r=2,
-                          init_segments=3, init_functions=3, seed=23, mode=request.param)
+                          init_segments=3, init_functions=3, seed=23)
         trace = run_metropolis_hastings(ctx, config)
         return trace, brute_force_states(trace)
 

@@ -1,0 +1,23 @@
+"""The benchmark harness runs against the package as it stands.
+
+A traced run uses every name that ``perfbench/`` takes from dictseg, so
+removing or reshaping one of them fails here.  The run writes only
+under the git-ignored ``.perfbench_out/``.
+"""
+
+import json
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def test_traced_sim100_run_is_correct():
+    done = subprocess.run(
+        [sys.executable, "perfbench/run.py", "--workload", "sim100", "--seed", "1",
+         "--seconds", "0", "--trace", "1"],
+        cwd=ROOT, capture_output=True, text=True, timeout=600)
+    assert done.returncode == 0, done.stderr
+    report = json.loads(done.stdout.splitlines()[-1])
+    assert report["correct"] is True and report["failed"] == 0, report

@@ -13,10 +13,9 @@ from dictseg import (
     TimeSeries,
     ValidationError,
     log_integrated_posterior,
-    log_prior_inclusion,
 )
 from conftest import design_of, indicator, make_state, random_instance, small_context
-from oracles import log_integrated_posterior_dense, log_posterior_quadrature
+from oracles import log_integrated_posterior_dense, log_posterior_quadrature, log_prior_inclusion
 
 
 class TestLogPriorInclusion:
@@ -42,10 +41,6 @@ class TestLogPriorInclusion:
                                    np.array([1.0, 0.0])) == -np.inf
         assert log_prior_inclusion(np.array([1, 0], bool),
                                    np.array([1.0, 1.0])) == -np.inf
-
-    def test_length_mismatch(self):
-        with pytest.raises(ValidationError):
-            log_prior_inclusion(np.array([1, 0], bool), np.array([1.0]))
 
     @given(st.floats(min_value=0.001, max_value=0.999),
            st.floats(min_value=0.001, max_value=0.999))
@@ -244,6 +239,47 @@ class TestContextCaches:
             ctx.check_state(make_state([1], 12))  # missing atom part in sp mode
         with pytest.raises(ValidationError):
             PosteriorContext(ctx.series, ctx.hyper, None, MODE_SP)
+
+
+def random_prior(rng, size):
+    """Inclusion probabilities with the first pinned at 1 and about one
+    entry in ten each at exactly 0 and exactly 1."""
+    probs = rng.uniform(0.0, 1.0, size)
+    kind = rng.uniform(size=size)
+    probs[kind < 0.1] = 0.0
+    probs[kind > 0.9] = 1.0
+    probs[0] = 1.0
+    return probs
+
+
+class TestContextPrior:
+    def test_matches_oracle_on_random_states(self):
+        # 40 contexts, 30 states each: log_prior_gamma and log_prior_r
+        # sum over the selected indices, the oracle over every bit
+        rng = np.random.default_rng(13)
+        checked = infinite = 0
+        for _ in range(40):
+            n, m = int(rng.integers(8, 201)), int(rng.integers(2, 31))
+            series = TimeSeries(values=rng.normal(size=n))
+            design = design_of(series.covariate, *rng.normal(size=(m - 1, n)))
+            hyper = Hyperparameters(c1=float(rng.uniform(2.0, 500.0)), pi=random_prior(rng, n),
+                                    c2=float(rng.uniform(2.0, 500.0)), eta=random_prior(rng, m))
+            ctx = PosteriorContext(series, hyper, design, MODE_SP)
+            for _ in range(30):
+                for bits, probs, method in (
+                        (rng.uniform(size=n) < rng.uniform(), hyper.pi, ctx.log_prior_gamma),
+                        (rng.uniform(size=m) < rng.uniform(), hyper.eta, ctx.log_prior_r)):
+                    if rng.uniform() < 0.75:  # most states respect p = 0 and p = 1
+                        bits = (bits | (probs == 1.0)) & (probs > 0.0)
+                    bits[0] = True
+                    expected, value = log_prior_inclusion(bits, probs), method(bits)
+                    if expected == -np.inf:
+                        assert value == -np.inf
+                        infinite += 1
+                    else:
+                        assert abs(value - expected) <= 1e-12 * abs(expected)
+                    checked += 1
+        assert checked == 2400 and 0 < infinite < checked / 2
 
 
 def stack_context(mode):
