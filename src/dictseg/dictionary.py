@@ -11,13 +11,29 @@ to its design.
 
 from __future__ import annotations
 
-import csv
+import os
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DataError, ValidationError
 from .stepmodel import TimeSeries
+
+
+def _physical_memory() -> int:
+    """Bytes of physical memory on this machine."""
+    return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+
+
+def check_memory(nbytes, what: str) -> None:
+    """ValidationError, before anything is allocated, if ``nbytes``
+    exceeds this machine's physical memory; ``what`` names the arrays
+    and the estimate's formula."""
+    memory = _physical_memory()
+    if nbytes > memory:
+        raise ValidationError(
+            f"{what} = {nbytes:.0f} bytes ({nbytes / 2**30:.3g} GiB), "
+            f"more than this machine's {memory / 2**30:.3g} GiB of physical memory")
 
 
 @dataclass(frozen=True)
@@ -133,12 +149,20 @@ def fourier_design(covariate, floor: float) -> DesignMatrix:
     therefore data-dependent: 1 + 2*floor(span/floor).
     """
     x = _covariate(covariate)
-    if floor <= 0:
+    if not floor > 0:  # NaN too
         raise ValidationError("period floor must be positive")
     span = float(x[-1] - x[0])
     if span <= 0:
         raise ValidationError("covariate span must be positive")
-    count = 0
+    ratio = span / floor
+    check_memory(8.0 * x.size * (1 + 2 * ratio),
+                 f"a Fourier design on {x.size} points at period floor {floor:g} needs about "
+                 f"8·n·(1 + 2·span/floor)")
+    # span/i falls with i, so the frequencies kept are i = 1..count;
+    # the quotient's floor is at most one off that count
+    count = int(ratio)
+    while count and span / count < floor:
+        count -= 1
     while span / (count + 1) >= floor:
         count += 1
     if count == 0:
@@ -155,21 +179,22 @@ def load_design_matrix(path) -> DesignMatrix:
     labels, then n rows by M columns.  The first column is forced to
     ones after checking it is constant.  A label may not hold a carriage
     return, which ``write_csv`` would leave unquoted."""
-    from .io import read_input  # not at the top: io imports this module through posterior
-    rows = read_input(path, "dictionary file", lambda fh: list(csv.reader(fh)))
-    if len(rows) < 2:
-        raise DataError(f"dictionary file {path} needs a header plus data rows")
-    labels = tuple(s.strip() for s in rows[0])
+    from .io import csv_records, read_input  # not at the top: io imports this module through posterior
+    records = read_input(path, "dictionary file", csv_records)
+    line, header = next(records, (1, []))
+    labels = tuple(s.strip() for s in header)
     if any("\r" in label for label in labels):
-        raise DataError(f"{path}: row 1 has a carriage return in an atom label")
+        raise DataError(f"{path}: row {line} has a carriage return in an atom label")
     data = []
-    for i, row in enumerate(rows[1:], start=2):
+    for i, row in records:
         if len(row) != len(labels):
             raise DataError(f"{path}: row {i} has {len(row)} fields, expected {len(labels)}")
         try:
             data.append([float(v) for v in row])
         except ValueError as exc:
             raise DataError(f"{path}: row {i}: {exc}") from exc
+    if not data:
+        raise DataError(f"dictionary file {path} needs a header plus data rows")
     F = np.array(data)
     if not np.all(np.isfinite(F)):
         raise DataError(f"{path}: non-finite entries")

@@ -8,6 +8,7 @@ import json
 from contextlib import contextmanager
 from dataclasses import dataclass
 from itertools import chain, repeat
+from operator import itemgetter
 from pathlib import Path
 
 import numpy as np
@@ -29,8 +30,20 @@ def read_input(path, what: str, parse):
         raise DataError(f"cannot read {what} {path}: {exc}") from exc
 
 
-def _csv_rows(fh) -> list[list[str]]:
-    return [row for row in csv.reader(fh) if row]
+def csv_records(fh):
+    """Iterator over (line, fields) of the records of a CSV file, blank
+    lines skipped; ``line`` is the 1-based file line the record starts
+    on, for errors.  Lines are counted on a second reading, and only
+    when a quoted field spans lines."""
+    reader = csv.reader(fh)
+    rows = list(reader)
+    lines = range(1, len(rows) + 1)
+    if reader.line_num != len(rows):
+        fh.seek(0)
+        reader = csv.reader(fh)
+        ends = [reader.line_num for _ in reader]
+        lines = [1, *(end + 1 for end in ends[:-1])]
+    return filter(itemgetter(1), zip(lines, rows))
 
 
 def load_series(path) -> TimeSeries:
@@ -38,19 +51,20 @@ def load_series(path) -> TimeSeries:
     column or (label, value).  A header row is skipped if its value
     field is not numeric.  A label may not hold a carriage return, which
     ``write_csv`` would leave unquoted."""
-    rows = read_input(path, "series", _csv_rows)
-    if not rows:
+    records = read_input(path, "series", csv_records)
+    first = next(records, None)
+    if first is None:
         raise DataError(f"series file {path} is empty")
-    width = len(rows[0])
+    width = len(first[1])
     if width not in (1, 2):
         raise DataError(f"{path}: expected 1 or 2 columns, got {width}")
-    start = 0
     try:
-        float(rows[0][-1])
+        float(first[1][-1])
+        records = chain([first], records)
     except ValueError:
-        start = 1
+        pass  # a header row
     values, labels = [], []
-    for i, row in enumerate(rows[start:], start=start + 1):
+    for i, row in records:
         if len(row) != width:
             raise DataError(f"{path}: row {i} has {len(row)} fields, expected {width}")
         raw = row[-1].strip()
@@ -80,7 +94,7 @@ class EventPriorFile:
 
 def load_event_priors(path) -> EventPriorFile:
     rows = []
-    for i, row in enumerate(read_input(path, "event file", _csv_rows), start=1):
+    for i, row in read_input(path, "event file", csv_records):
         if len(row) != 2:
             raise DataError(f"{path}: row {i} needs (position-or-label, probability)")
         key = row[0].strip()

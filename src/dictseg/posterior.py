@@ -49,12 +49,11 @@ Q_FLOOR·Y'Y is treated as a degenerate perfect fit.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 
 import numpy as np
 
-from .dictionary import DesignMatrix
+from .dictionary import DesignMatrix, check_memory
 from .errors import ValidationError
 from .stepmodel import TimeSeries
 
@@ -151,9 +150,60 @@ class LatentState:
         return np.flatnonzero(self.r) + 1
 
 
-def _physical_memory() -> int:
-    """Bytes of physical memory on this machine."""
-    return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+# Below this many multiply-adds in F'F (n·M²), _fill_gram takes the full
+# product without looking for point columns.  On point100 designs the
+# two ways cost the same near n·M² = 5e6, and below 2^24 the split saves
+# under 0.1 ms, while a design without point columns pays for the look.
+SPLIT_MIN_WORK = 1 << 24
+# rows of F gathered at a time to fill the rows of point columns
+_ROW_CHUNK = 256
+
+
+def _point_rows(F: np.ndarray):
+    """The columns of F with at most one nonzero entry, that entry's row
+    and its value (row 0 and value 0 for a zero column); None when
+    fewer than half the columns are point columns."""
+    n, m = F.shape
+    counts = np.zeros(m, dtype=np.int64)
+    for i in range(0, n, 255):  # a uint8 count of 255 rows cannot overflow
+        counts += np.add.reduce((F[i:i + 255] != 0).view(np.uint8), axis=0, dtype=np.uint8)
+    cols = np.flatnonzero(counts <= 1)
+    if 2 * len(cols) < m:
+        return None
+    # a point column's sum and index-weighted sum are exactly F[t, a]
+    # and t·F[t, a] rounded once, every other term being zero
+    values, moments = (np.stack((np.ones(n), np.arange(n, dtype=float))) @ F)[:, cols]
+    rows = np.divide(moments, values, out=np.zeros(len(cols)), where=values != 0)
+    rows = np.clip(np.rint(rows), 0, n - 1).astype(np.intp)
+    if not np.array_equal(F[rows, cols], values):  # t·F[t, a] past the float range
+        return None
+    return cols, rows, values
+
+
+def _fill_gram(F: np.ndarray, out: np.ndarray) -> None:
+    """out = F'F.
+
+    A point column a, nonzero at most in row t, has F[t, a]·F[t, :] as
+    its row of F'F: the one nonzero term of each of the full product's
+    sums, so the same bits.  When at least half the columns are point
+    columns, the others take one product among themselves; otherwise,
+    and for designs too small to repay the search, the full product.
+    """
+    n, m = F.shape
+    point = _point_rows(F) if n * m * m >= SPLIT_MIN_WORK else None
+    if point is None:
+        np.matmul(F.T, F, out=out)
+        return
+    cols, rows, values = point
+    dense = np.setdiff1d(np.arange(m), cols, assume_unique=True)
+    Fd = F[:, dense]
+    out[np.ix_(dense, dense)] = Fd.T @ Fd
+    for i in range(0, len(cols), _ROW_CHUNK):
+        block = F[rows[i:i + _ROW_CHUNK]]
+        block *= values[i:i + _ROW_CHUNK, None]
+        block += 0.0  # a zero product reads +0, as in the full product's sums
+        out[cols[i:i + _ROW_CHUNK]] = block
+    out[np.ix_(dense, cols)] = out[np.ix_(cols, dense)].T
 
 
 def _total(x: np.ndarray) -> np.ndarray:
@@ -254,15 +304,13 @@ class PosteriorContext:
             if len(hyper.eta) != design.num_atoms:
                 raise ValidationError("eta length must match atom count")
             m = design.num_atoms
-            cache_bytes, memory = 8 * (m * m + n * m), _physical_memory()
-            if cache_bytes > memory:
-                raise ValidationError(
-                    f"F'F and the suffix sums of the {m} design columns need about "
-                    f"8·(M² + n·M) = {cache_bytes} bytes ({cache_bytes / 2**30:.3g} GiB), "
-                    f"more than this machine's {memory / 2**30:.3g} GiB of physical memory")
+            # F is held already; the caches come on top of it
+            check_memory(8 * (m * m + 2 * n * m),
+                         f"the {m} design columns, F'F and their suffix sums need about "
+                         f"8·(M² + 2·n·M)")
             F = design.matrix
             self._gram = np.zeros((m + 2, m + 2))
-            np.matmul(F.T, F, out=self._gram[:m, :m])
+            _fill_gram(F, self._gram[:m, :m])
             self._gram[:m, m + 1] = self._gram[m + 1, :m] = F.T @ y
             self._gram[m + 1, m + 1] = self.yty
             self.log_c2 = float(np.log(hyper.c2))
@@ -274,7 +322,10 @@ class PosteriorContext:
         self.num_atoms = m
         self._suffix = np.zeros((n + 1, m + 2))
         if m:
-            np.cumsum(F[::-1, :], axis=0, out=self._suffix[n - 1::-1, :m])
+            # copied first, then summed in place: the same sums, and
+            # faster than reading F backwards into the table
+            self._suffix[:n, :m] = F
+            np.cumsum(self._suffix[n - 1::-1, :m], axis=0, out=self._suffix[n - 1::-1, :m])
         np.cumsum(y[::-1], out=self._suffix[n - 1::-1, m + 1])
 
     @property

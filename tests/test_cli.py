@@ -1,5 +1,6 @@
 import hashlib
 import json
+import time
 from dataclasses import replace
 
 import numpy as np
@@ -411,6 +412,15 @@ class TestDict:
         assert main(["dict", "--preset", "simulation_n100:point100", "--n", "100",
                      "--out", str(out)]) == 0
         assert len(out.read_text().splitlines()[0].split(",")) == 123
+
+    def test_fourier_design_past_physical_memory_exits_2_at_once(self, workspace, capsys):
+        start = time.perf_counter()
+        code = main(["dict", "--preset", "fourier:floor=1e-9",
+                     "--out", str(workspace / "d.csv")])
+        assert time.perf_counter() - start < 1.0
+        assert code == 2
+        assert "physical memory" in capsys.readouterr().err
+        assert not (workspace / "d.csv").exists()
 
     def test_unknown_preset(self, workspace, capsys):
         code = main(["dict", "--preset", "wavelets", "--n", "10",

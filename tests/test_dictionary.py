@@ -32,9 +32,28 @@ class TestPresetSizes:
         d = fourier_design(np.arange(1.0, 774.0), floor=8.0)
         assert d.num_atoms == 1 + 2 * 96
 
+    @pytest.mark.parametrize("extent", [99.0, 772.0, 0.3])
+    def test_period_floor_count_matches_the_rule_at_its_edges(self, extent):
+        # floors at and next to span/i, where span/i >= floor flips
+        x = np.array([1.0, 1.0 + extent])
+        span = float(x[-1] - x[0])
+        for i in range(1, 60):
+            for floor in (span / i, np.nextafter(span / i, 0), np.nextafter(span / i, np.inf)):
+                count = 0
+                while span / (count + 1) >= floor:
+                    count += 1
+                if count:
+                    assert fourier_design(x, floor).num_atoms == 1 + 2 * count
+
     def test_period_floor_rejects_bad_floor(self):
-        with pytest.raises(ValidationError):
-            fourier_design(T_GRID, floor=0.0)
+        for floor in (0.0, -1.0, float("nan")):
+            with pytest.raises(ValidationError):
+                fourier_design(T_GRID, floor=floor)
+
+    def test_design_past_physical_memory_is_rejected_before_counting(self):
+        # about 2e11 atoms: the frequency count is not walked one by one
+        with pytest.raises(ValidationError, match="physical memory"):
+            fourier_design(T_GRID, floor=1e-9)
 
     def test_unknown_simulation_family(self):
         with pytest.raises(ValidationError):
@@ -178,6 +197,11 @@ class TestFileIngestion:
         path.write_text("c,x\n1,3\n1\n")
         with pytest.raises(DataError, match="row 3"):
             load_design_matrix(path)
+
+    def test_blank_lines_are_skipped(self, tmp_path):
+        path = tmp_path / "gaps.csv"
+        path.write_text("c,x\n\n1,3\n\n1,4\n\n")
+        np.testing.assert_array_equal(load_design_matrix(path).matrix, [[1.0, 3.0], [1.0, 4.0]])
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(DataError):

@@ -5,6 +5,7 @@ import ast
 import csv
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -91,6 +92,20 @@ def test_reader_reports_bad_utf8_as_a_data_error(tmp_path, name, content, read):
     path = tmp_path / name
     path.write_bytes(content)
     with pytest.raises(DataError, match=str(path)):
+        read(path)
+
+
+@pytest.mark.parametrize("content,read,line", [
+    ("a,1.0\n\nb,2.0\nc,x\n", load_series, 4),
+    ("4,0.5\n\n7,x\n", load_event_priors, 3),
+    ("c,x\n1,3\n\n1,4\n1\n", load_design_matrix, 5),
+], ids=["series", "events", "design"])
+def test_reader_names_the_file_line_past_blank_lines(tmp_path, content, read, line):
+    # one row reader for every CSV input: blank lines are skipped, not
+    # counted out of the numbering and not rejected
+    path = tmp_path / "input.csv"
+    path.write_text(content)
+    with pytest.raises(DataError, match=re.escape(f"{path}: row {line}") + r"\b"):
         read(path)
 
 

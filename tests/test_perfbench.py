@@ -1,7 +1,9 @@
 """The benchmark harness runs against the package as it stands.
 
 A traced run uses every name that ``perfbench/`` takes from dictseg, so
-removing or reshaping one of them fails here.  The run writes only
+removing or reshaping one of them fails here.  The two workloads take
+the context's F'F down its two paths: the full product (sim100) and
+the point-column split (wide-point).  The run writes only
 under the git-ignored ``.perfbench_out/``.
 """
 
@@ -10,12 +12,15 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parent.parent
 
 
-def test_traced_sim100_run_is_correct():
+@pytest.mark.parametrize("workload", ["sim100", "wide-point"])
+def test_traced_run_is_correct(workload):
     done = subprocess.run(
-        [sys.executable, "perfbench/run.py", "--workload", "sim100", "--seed", "1",
+        [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", "1",
          "--seconds", "0", "--trace", "1"],
         cwd=ROOT, capture_output=True, text=True, timeout=600)
     assert done.returncode == 0, done.stderr

@@ -3,16 +3,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dictseg import posterior
+from dictseg import dictionary, posterior
 from dictseg import (
     MODE_P,
     MODE_SP,
+    DesignMatrix,
     Hyperparameters,
     LatentState,
     PosteriorContext,
     TimeSeries,
     ValidationError,
+    exchange_design,
     log_integrated_posterior,
+    simulation_design,
 )
 from conftest import design_of, indicator, make_state, random_instance, small_context
 from oracles import log_integrated_posterior_dense, log_posterior_quadrature, log_prior_inclusion
@@ -221,6 +224,31 @@ class TestDegenerateStates:
             log_integrated_posterior_dense(with_bit, ctx), abs=1e-8)
 
 
+def crafted_design(n=60):
+    """Point columns with the cases the split of F'F must get right: a
+    duplicated point column, an all-zero column and a scaled negative
+    one-nonzero column, beside a two-nonzero column and dense columns."""
+    rng = np.random.default_rng(11)
+    points = np.zeros((n, 40))
+    points[np.arange(5, 45), np.arange(40)] = 1.0
+    odd = np.zeros((n, 4))
+    odd[:, 0] = points[:, 7]
+    odd[50, 2] = -3.7
+    odd[[2, 3], 3] = 1.0
+    F = np.column_stack([np.ones(n), points, odd, rng.normal(size=(n, 6))])
+    return DesignMatrix(matrix=F, labels=tuple(f"a{j}" for j in range(F.shape[1])))
+
+
+CACHE_DESIGNS = {
+    "point100-100": lambda: simulation_design(np.arange(1.0, 101.0), "point100"),
+    "point100-2000": lambda: simulation_design(np.arange(1.0, 2001.0), "point100"),
+    "haar128-100": lambda: simulation_design(np.arange(1.0, 101.0), "haar128"),
+    "haar128-2000": lambda: simulation_design(np.arange(1.0, 2001.0), "haar128"),
+    "exchange": lambda: exchange_design(np.arange(1.0, 2001.0)),
+    "crafted": crafted_design,
+}
+
+
 class TestContextCaches:
     def test_caches_match_definitions(self):
         ctx = small_context()
@@ -239,6 +267,51 @@ class TestContextCaches:
             ctx.check_state(make_state([1], 12))  # missing atom part in sp mode
         with pytest.raises(ValidationError):
             PosteriorContext(ctx.series, ctx.hyper, None, MODE_SP)
+
+    # F'F and the suffix sums against the full product and the reversed
+    # running sum over F, with the point-column split at its size
+    # threshold and forced on every design
+    @pytest.fixture(params=["threshold", "forced"])
+    def split_min_work(self, request, monkeypatch):
+        if request.param == "forced":
+            monkeypatch.setattr(posterior, "SPLIT_MIN_WORK", 0)
+
+    @pytest.mark.parametrize("name", list(CACHE_DESIGNS))
+    def test_caches_match_the_full_products(self, split_min_work, name):
+        design = CACHE_DESIGNS[name]()
+        F = design.matrix
+        n, m = F.shape
+        y = np.random.default_rng(5).normal(size=n)
+        ctx = PosteriorContext(TimeSeries(values=y), Hyperparameters.flat(n, m), design)
+        full = F.T @ F
+        point = np.count_nonzero(F, axis=0) <= 1
+        assert np.array_equal(ctx.ftf[point], full[point])
+        assert np.array_equal(ctx.ftf[:, point], full[:, point])
+        assert np.abs(ctx.ftf - full).max() <= 1e-12 * np.abs(full).max()
+        suffix = np.zeros((n + 1, m + 2))
+        np.cumsum(F[::-1, :], axis=0, out=suffix[n - 1::-1, :m])
+        np.cumsum(y[::-1], out=suffix[n - 1::-1, m + 1])
+        assert np.array_equal(ctx._suffix, suffix)
+        if not point[1:].any():
+            assert np.array_equal(ctx.ftf, np.matmul(F.T, F))
+
+    def test_point_rows_are_found_exactly(self):
+        F = crafted_design().matrix
+        cols, rows, values = posterior._point_rows(F)
+        assert np.array_equal(cols, np.flatnonzero(np.count_nonzero(F, axis=0) <= 1))
+        assert np.array_equal(values, F[rows, cols])
+        assert np.array_equal(values, F[:, cols].sum(axis=0))
+
+    def test_product_past_the_float_range_takes_the_full_product(self, monkeypatch):
+        # t·F[t, a] overflows for this column, so its row cannot be read
+        # off the index-weighted sum (F'F overflows there too)
+        monkeypatch.setattr(posterior, "SPLIT_MIN_WORK", 0)
+        F = crafted_design().matrix
+        F[50, 43] = 1e307
+        out = np.zeros(2 * F.shape[1:])
+        with np.errstate(over="ignore"):
+            posterior._fill_gram(F, out)
+            assert np.array_equal(out, np.matmul(F.T, F))
 
 
 def random_prior(rng, size):
@@ -368,13 +441,22 @@ class TestStackedEvaluator:
 
 
 class TestMemoryGuard:
+    # small_context has n = 12 and M = 3; F is held beside its caches
+    ESTIMATE = 8 * (3 * 3 + 2 * 12 * 3)
+
     def test_estimate_above_physical_memory_is_rejected(self, monkeypatch):
-        monkeypatch.setattr(posterior, "_physical_memory", lambda: 100)
-        with pytest.raises(ValidationError, match=str(8 * (3 * 3 + 12 * 3))):
+        monkeypatch.setattr(dictionary, "_physical_memory", lambda: 100)
+        with pytest.raises(ValidationError, match=str(self.ESTIMATE)):
             small_context()
         # mode p builds neither cache
         small_context(mode=MODE_P)
 
     def test_estimate_within_physical_memory_builds(self, monkeypatch):
-        monkeypatch.setattr(posterior, "_physical_memory", lambda: 8 * (3 * 3 + 12 * 3))
+        monkeypatch.setattr(dictionary, "_physical_memory", lambda: self.ESTIMATE)
         assert small_context().ftf.shape == (3, 3)
+
+    def test_design_matrix_counts_toward_the_estimate(self, monkeypatch):
+        # the caches alone, 8·(M² + n·M) bytes, would fit
+        monkeypatch.setattr(dictionary, "_physical_memory", lambda: 8 * (3 * 3 + 12 * 3))
+        with pytest.raises(ValidationError, match=str(self.ESTIMATE)):
+            small_context()
