@@ -22,7 +22,6 @@ from .errors import ComputeError, DataError, DictsegError, ValidationError
 from .gibbs import (
     FitResult,
     GibbsConfig,
-    GibbsSampler,
     GibbsTrace,
     run_gibbs,
 )

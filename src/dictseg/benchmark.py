@@ -23,7 +23,7 @@ from .io import write_csv, write_json
 from .metrics import functional_metrics, segmentation_metrics
 from .pipeline import fit_series
 from .posterior import MODE_P, MODE_SP
-from .simulate import simulate_series
+from .simulate import MIN_SIMULATED_N, simulate_series
 
 _MEAN_FIELDS = ("k_hat", "rmse_mu", "fdr_bp", "fnr_bp", "rmse_f", "fdr_f",
                 "fnr_f", "sigma_hat", "runtime_s")
@@ -115,6 +115,8 @@ def run_benchmark(levels, replicates: int, methods=("sp", "p"),
                   n_jobs: int = 1) -> BenchmarkReport:
     if replicates < 1:
         raise ValidationError("replicates must be >= 1")
+    if n < MIN_SIMULATED_N:
+        raise ValidationError(f"n must be >= {MIN_SIMULATED_N} for the simulated layout, got {n}")
     if not all(sigma >= 0.0 for sigma in levels):
         raise ValidationError(f"noise levels must be nonnegative numbers, got {list(levels)}")
     methods = tuple(methods)

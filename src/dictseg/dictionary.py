@@ -38,7 +38,8 @@ def check_memory(nbytes, what: str) -> None:
 
 @dataclass(frozen=True)
 class DesignMatrix:
-    """n x M atom evaluations; column 1 is all ones."""
+    """n x M atom evaluations; column 1 is all ones.  A label may not
+    hold a carriage return, which ``write_csv`` would leave unquoted."""
 
     matrix: np.ndarray
     labels: tuple[str, ...]
@@ -54,6 +55,8 @@ class DesignMatrix:
         labels = tuple(self.labels)
         if len(labels) != F.shape[1]:
             raise ValidationError("one label per column required")
+        if any("\r" in str(label) for label in labels):
+            raise ValidationError("atom labels may not hold a carriage return")
         object.__setattr__(self, "matrix", F)
         object.__setattr__(self, "labels", labels)
 

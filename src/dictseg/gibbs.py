@@ -43,7 +43,7 @@ import mmap
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_solve, solve_triangular
+from scipy.linalg import solve_triangular
 
 from .errors import ComputeError, ValidationError
 from .mh import InclusionProbabilities
@@ -98,74 +98,27 @@ class FitResult:
 
 
 class GibbsSampler:
-    """The three full conditionals of the coefficient posterior: only the
-    reference that the closed form of ``run_gibbs`` is checked against
-    (``run_gibbs`` does not use them).  It stays in the package because
-    the benchmark, ``perfbench/run.py``, imports it.
+    """The selected step Gram and the residual scale of the sigma2 full
+    conditional, kept only for the benchmark's traced ``gibbs.resid_us``
+    metric (``perfbench/run.py``), which times ``sigma2_b`` on stored
+    draws; no fit calls it.  The full conditionals are the test oracle's.
 
-    With the other blocks fixed,
-
-        beta   ~ N( s1·G^{-1}·Xg'(Y - Fr·lambda),  sigma2·s1·G^{-1} )
-        lambda ~ N( s2·H^{-1}·Fr'(Y - Xg·beta),    sigma2·s2·H^{-1} )
-        sigma2 ~ InvGamma( a, b/2 )
-
-    where a = (n + d_g + d_r)/2 and b is the residual sum of squares plus
+    ``sigma2_b`` is the residual sum of squares of (beta, lambda) plus
     the two g-prior penalties beta'G beta/c1 and lambda'H lambda/c2
-    (segmentation-only: no lambda, a = (n + d_g)/2), with H = Fr'Fr and
-    the explicit step Gram G = Xg'Xg: column p of X is the indicator of
-    t >= p, so G[a, b] = n + 1 - max(p_a, p_b).
+    (segmentation-only: no lambda), with H = Fr'Fr and the explicit step
+    Gram G = Xg'Xg: column p of X is the indicator of t >= p, so
+    G[a, b] = n + 1 - max(p_a, p_b).
     """
 
     def __init__(self, ctx: PosteriorContext, selection: LatentState):
         ctx.check_state(selection)
         self.ctx = ctx
         self.positions = selection.positions()
-        self.d_gamma = self.positions.size
         self.gram = (ctx.n + 1 - np.maximum.outer(self.positions, self.positions)).astype(float)
-        self.chol_g = np.linalg.cholesky(self.gram)
-        self.xty = ctx.suffix_y[self.positions - 1]
-        self.s1 = ctx.hyper.c1 / (1.0 + ctx.hyper.c1)
         if ctx.mode == MODE_SP:
             self.r_idx = np.flatnonzero(selection.r)
-            self.atoms = self.r_idx + 1
-            self.d_r = self.r_idx.size
             self.f_sel = ctx.design.matrix[:, self.r_idx]
             self.frfr = ctx.ftf[np.ix_(self.r_idx, self.r_idx)]
-            try:
-                self.chol_f = np.linalg.cholesky(self.frfr)
-            except np.linalg.LinAlgError as exc:
-                raise ComputeError("selected atoms are linearly dependent") from exc
-            self.fty = ctx.fty[self.r_idx]
-            self.xtf = ctx.suffix_f[self.positions - 1][:, self.r_idx]
-            self.s2 = ctx.hyper.c2 / (1.0 + ctx.hyper.c2)
-        else:
-            self.d_r = 0
-            self.atoms = None
-        self.a_shape = 0.5 * (ctx.n + self.d_gamma + self.d_r)
-
-    def beta_mean(self, lam: np.ndarray | None) -> np.ndarray:
-        rhs = self.xty if lam is None else self.xty - self.xtf @ lam
-        return self.s1 * cho_solve((self.chol_g, True), rhs)
-
-    def beta_cov(self, sigma2: float) -> np.ndarray:
-        return sigma2 * self.s1 * cho_solve((self.chol_g, True), np.eye(self.d_gamma))
-
-    def draw_beta(self, lam, sigma2: float, rng: np.random.Generator) -> np.ndarray:
-        z = rng.standard_normal(self.d_gamma)
-        noise = solve_triangular(self.chol_g, z, lower=True, trans="T")
-        return self.beta_mean(lam) + np.sqrt(sigma2 * self.s1) * noise
-
-    def lambda_mean(self, beta: np.ndarray) -> np.ndarray:
-        rhs = self.fty - self.xtf.T @ beta
-        return self.s2 * cho_solve((self.chol_f, True), rhs)
-
-    def lambda_cov(self, sigma2: float) -> np.ndarray:
-        return sigma2 * self.s2 * cho_solve((self.chol_f, True), np.eye(self.d_r))
-
-    def draw_lambda(self, beta, sigma2: float, rng: np.random.Generator) -> np.ndarray:
-        z = rng.standard_normal(self.d_r)
-        noise = solve_triangular(self.chol_f, z, lower=True, trans="T")
-        return self.lambda_mean(beta) + np.sqrt(sigma2 * self.s2) * noise
 
     def sigma2_b(self, beta: np.ndarray, lam: np.ndarray | None) -> float:
         jumps = np.zeros(self.ctx.n)
@@ -177,12 +130,6 @@ class GibbsSampler:
             penalty += float(lam @ self.frfr @ lam) / self.ctx.hyper.c2
         resid = self.ctx.series.values - fit
         return float(resid @ resid) + penalty
-
-    def draw_sigma2(self, beta, lam, rng: np.random.Generator) -> float:
-        b = self.sigma2_b(beta, lam)
-        if b <= 0.0:
-            raise ComputeError("inverse-gamma scale must be positive")
-        return 1.0 / rng.gamma(shape=self.a_shape, scale=2.0 / b)
 
 
 def _mapped_empty(rows: int, cols: int) -> np.ndarray:

@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 from contextlib import contextmanager
 from dataclasses import dataclass
 from itertools import chain, repeat
@@ -74,7 +75,7 @@ def load_series(path) -> TimeSeries:
             value = float(raw)
         except ValueError as exc:
             raise DataError(f"{path}: row {i}: {exc}") from exc
-        if not np.isfinite(value):
+        if not math.isfinite(value):
             raise DataError(f"{path}: row {i} has a non-finite value")
         values.append(value)
         if width == 2:

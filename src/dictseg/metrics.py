@@ -37,6 +37,8 @@ def _match_count(detected, true, tolerance: int) -> int:
 def segmentation_metrics(estimate: Segmentation, truth: Segmentation, n: int,
                          tolerance: int = 0) -> tuple[float, float, float]:
     """(RMSE of the mean path, FDR and FNR of the change-points)."""
+    if tolerance < 0:
+        raise ValidationError(f"tolerance must be >= 0, got {tolerance}")
     mu_true = truth.mean_path(n)
     mu_hat = estimate.mean_path(n)
     rmse_mu = float(np.sqrt(np.mean((mu_true - mu_hat) ** 2)))

@@ -329,22 +329,8 @@ class PosteriorContext:
         np.cumsum(y[::-1], out=self._suffix[n - 1::-1, m + 1])
 
     @property
-    def suffix_y(self) -> np.ndarray:
-        """suffix_y[i] = sum of y[i:]."""
-        return self._suffix[:self.n, self.num_atoms + 1]
-
-    @property
-    def suffix_f(self) -> np.ndarray:
-        """suffix_f[i, a] = sum of column a of F over rows i and later."""
-        return self._suffix[:self.n, :self.num_atoms]
-
-    @property
     def ftf(self) -> np.ndarray:
         return self._gram[:self.num_atoms, :self.num_atoms]
-
-    @property
-    def fty(self) -> np.ndarray:
-        return self._gram[:self.num_atoms, self.num_atoms + 1]
 
     def log_prior_gamma(self, gamma: np.ndarray) -> float:
         return self._weight_gamma.log_prior(gamma)

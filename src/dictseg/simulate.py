@@ -22,6 +22,8 @@ MIN_SEGMENT_LENGTH = 5
 MIN_PEAK_DISTANCE = 3
 MEAN_CHOICES = (0, 1, 2, 3, 4, 5)
 MAX_REJECTION_ATTEMPTS = 100_000
+# the shortest series the simulator accepts for the layout constraints above
+MIN_SIMULATED_N = 25
 
 
 @dataclass(frozen=True)
@@ -83,8 +85,8 @@ def _draw_means(rng: np.random.Generator) -> tuple[float, ...]:
 
 def simulate_series(n: int, sigma: float,
                     rng: np.random.Generator) -> tuple[TimeSeries, SeriesTruth]:
-    if n < 25:
-        raise ValidationError("need n >= 25 to satisfy the layout constraints")
+    if n < MIN_SIMULATED_N:
+        raise ValidationError(f"need n >= {MIN_SIMULATED_N} to satisfy the layout constraints")
     if sigma < 0:
         raise ValidationError("sigma must be nonnegative")
     return make_series(n, _draw_change_points(n, rng), _draw_means(rng), sigma, rng)

@@ -22,7 +22,9 @@ class TimeSeries:
     """Observed series with a strictly increasing covariate grid.
 
     By default the covariate is time t = 1..n.  Optional labels (e.g.
-    calendar dates) ride along and can be used to resolve event files.
+    calendar dates) ride along and can be used to resolve event files;
+    a label may not hold a carriage return, which ``write_csv`` would
+    leave unquoted.
     """
 
     values: np.ndarray
@@ -52,6 +54,8 @@ class TimeSeries:
             labels = tuple(str(s) for s in self.labels)
             if len(labels) != n:
                 raise ValidationError("labels length does not match values")
+            if "\r" in "".join(labels):
+                raise ValidationError("labels may not hold a carriage return")
             object.__setattr__(self, "labels", labels)
 
     @property

@@ -7,12 +7,14 @@ closed-form Gaussian marginalization of the coefficients followed by
 literal numerical quadrature over the noise variance on the log scale.
 The coefficient stage's closed form is pinned by the joint normal
 equations on the explicit design and by a chain over the full
-conditionals.  The block Metropolis-Hastings kernel is pinned by the
-sequential chain it replaces, which scores one proposal at a time.
-The log prior is summed here over every bit, not over the selected
-indices as the package sums it.  Nothing here shares code with the
-paths under test beyond the conditionals, the initial-state draw and
-the proposal draw themselves.
+conditionals, whose moments are formed here on the dense step matrix.
+The block Metropolis-Hastings kernel is pinned by the sequential chain
+it replaces, which scores one proposal at a time.  The log prior is
+summed here over every bit, not over the selected indices as the
+package sums it.  Nothing here shares code with the paths under test
+beyond the initial-state draw and the proposal draw themselves; the
+conditional sampler builds on ``dictseg.gibbs.GibbsSampler``, the step
+Gram and residual scale that the benchmark times and no fit runs.
 """
 
 from __future__ import annotations
@@ -21,16 +23,18 @@ import math
 
 import numpy as np
 from scipy.integrate import quad
-from scipy.linalg import block_diag, cho_solve
+from scipy.linalg import block_diag, cho_solve, solve_triangular
 
 from dictseg import (
     MODE_SP,
+    ComputeError,
     LatentState,
     MHTrace,
     PosteriorContext,
     ValidationError,
     log_integrated_posterior,
 )
+from dictseg import gibbs
 from dictseg.mh import TARGET_GAMMA, TARGET_R, _draw_flip_indices, _sample_initial
 from dictseg.posterior import Q_FLOOR
 
@@ -195,6 +199,76 @@ def exact_covariance_dense(ctx: PosteriorContext, state: LatentState) -> np.ndar
     with E[sigma2] = q/(n - 2)."""
     x, penalty, _, q = _dense_normal_equations(ctx, state)
     return q / (ctx.n - 2) * np.linalg.inv(x.T @ x + penalty)
+
+
+class GibbsSampler(gibbs.GibbsSampler):
+    """The three full conditionals of the coefficient posterior, the
+    reference that the closed form of ``run_gibbs`` is checked against.
+
+    With the other blocks fixed,
+
+        beta   ~ N( s1·G^{-1}·Xg'(Y - Fr·lambda),  sigma2·s1·G^{-1} )
+        lambda ~ N( s2·H^{-1}·Fr'(Y - Xg·beta),    sigma2·s2·H^{-1} )
+        sigma2 ~ InvGamma( a, b/2 )
+
+    where a = (n + d_g + d_r)/2 and b is ``sigma2_b`` (segmentation-only:
+    no lambda, a = (n + d_g)/2), with H = Fr'Fr and G = Xg'Xg.  Xg'Y,
+    Xg'Fr and Fr'Y are formed from the dense step matrix and the design
+    columns, not read from the context's caches.
+    """
+
+    def __init__(self, ctx: PosteriorContext, selection: LatentState):
+        super().__init__(ctx, selection)
+        y = ctx.series.values
+        x_g = dense_step_matrix(ctx.n)[:, self.positions - 1]
+        self.d_gamma = self.positions.size
+        self.chol_g = np.linalg.cholesky(self.gram)
+        self.xty = x_g.T @ y
+        self.s1 = ctx.hyper.c1 / (1.0 + ctx.hyper.c1)
+        if ctx.mode == MODE_SP:
+            self.atoms = self.r_idx + 1
+            self.d_r = self.r_idx.size
+            try:
+                self.chol_f = np.linalg.cholesky(self.frfr)
+            except np.linalg.LinAlgError as exc:
+                raise ComputeError("selected atoms are linearly dependent") from exc
+            self.fty = self.f_sel.T @ y
+            self.xtf = x_g.T @ self.f_sel
+            self.s2 = ctx.hyper.c2 / (1.0 + ctx.hyper.c2)
+        else:
+            self.d_r = 0
+            self.atoms = None
+        self.a_shape = 0.5 * (ctx.n + self.d_gamma + self.d_r)
+
+    def beta_mean(self, lam: np.ndarray | None) -> np.ndarray:
+        rhs = self.xty if lam is None else self.xty - self.xtf @ lam
+        return self.s1 * cho_solve((self.chol_g, True), rhs)
+
+    def beta_cov(self, sigma2: float) -> np.ndarray:
+        return sigma2 * self.s1 * cho_solve((self.chol_g, True), np.eye(self.d_gamma))
+
+    def draw_beta(self, lam, sigma2: float, rng: np.random.Generator) -> np.ndarray:
+        z = rng.standard_normal(self.d_gamma)
+        noise = solve_triangular(self.chol_g, z, lower=True, trans="T")
+        return self.beta_mean(lam) + np.sqrt(sigma2 * self.s1) * noise
+
+    def lambda_mean(self, beta: np.ndarray) -> np.ndarray:
+        rhs = self.fty - self.xtf.T @ beta
+        return self.s2 * cho_solve((self.chol_f, True), rhs)
+
+    def lambda_cov(self, sigma2: float) -> np.ndarray:
+        return sigma2 * self.s2 * cho_solve((self.chol_f, True), np.eye(self.d_r))
+
+    def draw_lambda(self, beta, sigma2: float, rng: np.random.Generator) -> np.ndarray:
+        z = rng.standard_normal(self.d_r)
+        noise = solve_triangular(self.chol_f, z, lower=True, trans="T")
+        return self.lambda_mean(beta) + np.sqrt(sigma2 * self.s2) * noise
+
+    def draw_sigma2(self, beta, lam, rng: np.random.Generator) -> float:
+        b = self.sigma2_b(beta, lam)
+        if b <= 0.0:
+            raise ComputeError("inverse-gamma scale must be positive")
+        return 1.0 / rng.gamma(shape=self.a_shape, scale=2.0 / b)
 
 
 def conditional_chain(sampler, total: int, rng: np.random.Generator):

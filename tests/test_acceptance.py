@@ -24,7 +24,6 @@ from scipy.special import logsumexp
 from dictseg import (
     MODE_P,
     MODE_SP,
-    GibbsSampler,
     Hyperparameters,
     LatentState,
     MHConfig,
@@ -42,7 +41,7 @@ from dictseg import (
 from dictseg.config import derive_seeds
 from conftest import (design_of, indicator, make_state, proposal_hits, random_instance,
                       small_context)
-from oracles import log_integrated_posterior_dense, log_posterior_quadrature
+from oracles import GibbsSampler, log_integrated_posterior_dense, log_posterior_quadrature
 
 N = 100
 POINT_DESIGN = simulation_design(np.arange(1.0, N + 1.0), "point100")

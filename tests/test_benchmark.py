@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from dictseg import RunConfig, run_benchmark
+from dictseg import RunConfig, ValidationError, benchmark, run_benchmark
 
 FAST = RunConfig(iterations=800, burn_in=200, gibbs_iterations=400,
                  gibbs_burn_in=100)
@@ -59,10 +59,14 @@ class TestRunBenchmark:
         assert row.ok
         assert row.rmse_f is None and row.fdr_f is None and row.fnr_f is None
 
-    def test_failures_recorded_not_raised(self):
-        # n below the layout-constraint minimum fails inside the replicate
+    def test_failures_recorded_not_raised(self, monkeypatch):
+        # a simulation that fails inside every replicate
+        def failing(n, sigma, rng):
+            raise ValidationError("simulation failed")
+
+        monkeypatch.setattr(benchmark, "simulate_series", failing)
         report = run_benchmark([0.1], replicates=2, methods=("sp",), config=FAST,
-                               master_seed=4, n=20)
+                               master_seed=4)
         assert all(not r.ok for r in report.rows)
         assert all("ValidationError" in r.error for r in report.rows)
         averages = report.averages()
@@ -86,6 +90,10 @@ class TestRunBenchmark:
     def test_replicates_must_be_positive(self):
         with pytest.raises(ValueError):
             run_benchmark([0.1], replicates=0, config=FAST)
+
+    def test_series_too_short_to_simulate_is_rejected_up_front(self):
+        with pytest.raises(ValidationError, match="n must be >= 25"):
+            run_benchmark([0.1], replicates=1, config=FAST, n=24)
 
 
 class TestNoiseFreeRecovery:

@@ -243,6 +243,14 @@ class TestFitAndMetrics:
                 in capsys.readouterr().err)
         assert not (workspace / "x").exists()
 
+    def test_negative_tolerance_is_a_validation_error(self, workspace, capsys):
+        truth = workspace / "truth.json"
+        truth.write_text(json.dumps({"n": 10, "change_points": [4], "means": [0.0, 1.0]}))
+        code = main(["metrics", "--estimate", str(truth), "--truth", str(truth),
+                     "--tolerance", "-1"])
+        assert code == 2
+        assert "error (validation): tolerance must be >= 0" in capsys.readouterr().err
+
     def test_missing_input_is_a_data_error(self, workspace, capsys):
         code = main(["fit", "--input", str(workspace / "none.csv"),
                      "--out-dir", str(workspace / "y"), "--mode", "p"])
@@ -462,9 +470,9 @@ class TestBench:
 
     @pytest.mark.parametrize("option", [["--replicates", "0"], ["--sigmas", "0.1,abc"],
                                         ["--sigmas", "0.1,-1"], ["--methods", "sp,pp"],
-                                        ["--seed", "-3"]],
+                                        ["--seed", "-3"], ["--n", "24"]],
                              ids=["replicates", "sigmas", "negative-sigma", "methods",
-                                  "negative-seed"])
+                                  "negative-seed", "short-series"])
     def test_bad_input_is_a_validation_error(self, workspace, capsys, option):
         code = main(["bench", "--sigmas", "0.1", "--replicates", "1",
                      "--config", str(workspace / "fast.cfg"), *option,

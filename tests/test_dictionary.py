@@ -65,6 +65,11 @@ class TestPresetSizes:
         with pytest.raises(ValidationError):
             DesignMatrix(matrix=np.empty((100, 0)), labels=())
 
+    def test_label_with_carriage_return_is_rejected(self):
+        F = np.column_stack([np.ones(100), T_GRID])
+        with pytest.raises(ValidationError, match="carriage return"):
+            DesignMatrix(matrix=F, labels=("constant term", "t\r"))
+
 
 class TestEvaluation:
     def test_sine_vanishes_at_half_period(self):

@@ -7,7 +7,6 @@ from dictseg import (
     ComputeError,
     DesignMatrix,
     GibbsConfig,
-    GibbsSampler,
     Hyperparameters,
     LatentState,
     PosteriorContext,
@@ -20,6 +19,7 @@ from dictseg import (
 from dictseg.io import write_draws
 from conftest import design_of, make_state, small_context
 from oracles import (
+    GibbsSampler,
     batch_means_mcse,
     conditional_chain,
     exact_coefficients_dense,

@@ -256,8 +256,9 @@ class TestContextCaches:
         F = ctx.design.matrix
         assert ctx.yty == pytest.approx(float(y @ y), rel=1e-15)
         np.testing.assert_allclose(ctx.ftf, F.T @ F, atol=1e-12)
-        np.testing.assert_allclose(ctx.fty, F.T @ y, atol=1e-12)
-        np.testing.assert_allclose(ctx.suffix_y,
+        m = ctx.num_atoms
+        np.testing.assert_allclose(ctx._gram[:m, m + 1], F.T @ y, atol=1e-12)
+        np.testing.assert_allclose(ctx._suffix[:len(y), m + 1],
                                    np.array([y[i:].sum() for i in range(len(y))]),
                                    atol=1e-12)
 

@@ -96,6 +96,11 @@ class TestSegmentationMetrics:
         assert fdr == pytest.approx(0.5)
         assert fnr == 0.0
 
+    def test_negative_tolerance_rejected(self):
+        seg = Segmentation(change_points=(10, 40), means=(0.0, 2.0, 1.0))
+        with pytest.raises(ValidationError, match="tolerance"):
+            segmentation_metrics(seg, seg, 60, tolerance=-1)
+
     def test_nothing_detected_gives_zero_fdr(self):
         est = Segmentation(change_points=(), means=(1.0,))
         tru = Segmentation(change_points=(10,), means=(0.0, 1.0))

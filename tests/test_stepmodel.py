@@ -5,7 +5,6 @@ from hypothesis import strategies as st
 
 from dictseg import (
     MODE_P,
-    GibbsSampler,
     Hyperparameters,
     PosteriorContext,
     Segmentation,
@@ -13,7 +12,7 @@ from dictseg import (
     ValidationError,
 )
 from conftest import make_state
-from oracles import dense_step_gram, dense_step_matrix
+from oracles import GibbsSampler, dense_step_gram, dense_step_matrix
 
 
 def step_sampler(positions, n, seed=0):
@@ -47,6 +46,11 @@ class TestTimeSeries:
     def test_covariate_must_increase(self):
         with pytest.raises(ValidationError):
             TimeSeries(values=[1.0, 2.0], covariate=[2.0, 1.0])
+
+    def test_label_with_carriage_return_is_rejected(self):
+        # write_csv would leave the label unquoted and split its row
+        with pytest.raises(ValidationError, match="carriage return"):
+            TimeSeries(values=[1.0, 2.0, 3.0], labels=("a", "b\rc", "d"))
 
 
 class TestSegmentation:
