@@ -17,7 +17,7 @@ from dataclasses import astuple, dataclass, fields, replace
 import numpy as np
 
 from .config import RunConfig, derive_seeds
-from .dictionary import resolve_design
+from .dictionary import SIMULATION_FAMILIES, resolve_design
 from .errors import ValidationError
 from .io import write_csv, write_json
 from .metrics import functional_metrics, segmentation_metrics
@@ -117,6 +117,9 @@ def run_benchmark(levels, replicates: int, methods=("sp", "p"),
         raise ValidationError("replicates must be >= 1")
     if n < MIN_SIMULATED_N:
         raise ValidationError(f"n must be >= {MIN_SIMULATED_N} for the simulated layout, got {n}")
+    if family not in SIMULATION_FAMILIES:
+        raise ValidationError(f"unknown simulation family {family!r}; "
+                              f"expected one of {', '.join(SIMULATION_FAMILIES)}")
     if not all(sigma >= 0.0 for sigma in levels):
         raise ValidationError(f"noise levels must be nonnegative numbers, got {list(levels)}")
     methods = tuple(methods)

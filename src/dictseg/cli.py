@@ -19,7 +19,7 @@ import numpy as np
 from . import io as dio
 from .benchmark import run_benchmark
 from .config import RunConfig, load_config, sensitivity_presets
-from .dictionary import resolve_design
+from .dictionary import SIMULATION_FAMILIES, resolve_design
 from .errors import DataError, DictsegError, ValidationError
 from .gibbs import run_gibbs
 from .metrics import functional_metrics, segmentation_metrics
@@ -267,7 +267,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--replicates", type=int, default=100)
     p.add_argument("--methods", default="sp,p")
     p.add_argument("--n", type=int, default=100)
-    p.add_argument("--family", choices=["point100", "haar128"], default="point100")
+    p.add_argument("--family", choices=SIMULATION_FAMILIES, default="point100")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--config")

@@ -93,6 +93,10 @@ def _fourier_labels(n: int) -> list[str]:
     return _pair_labels(f"{j}×t/{n}" for j in range(1, 11))
 
 
+# the localized atom families of simulation_design
+SIMULATION_FAMILIES = ("point100", "haar128")
+
+
 def simulation_design(covariate, family: str = "haar128") -> DesignMatrix:
     """Design used on simulated series of length n = len(covariate).
 

@@ -172,15 +172,31 @@ def _cells(column):
     return column
 
 
+def _numeric(column) -> bool:
+    """Whether every field of a column prints without quoting: an
+    integer or float array, or a range."""
+    return isinstance(column, range) or (isinstance(column, np.ndarray)
+                                         and column.dtype.kind in "iuf")
+
+
 def write_csv(path, header, columns) -> None:
     """Write equal-length columns under a header row: UTF-8, LF line
     ends, floats as their repr, a field quoted only where it holds a
     comma, a double quote or a newline.  Rows are formatted one at a time
-    from the columns, so no whole table is held as text."""
+    from the columns, so no whole table is held as text.  A table of
+    numeric columns alone skips ``csv.writer``, which would scan every
+    character of every number for quoting, for a ``%r`` line format:
+    the same bytes."""
+    columns = list(columns)
     with _created(path) as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
-        writer.writerows(zip(*map(_cells, columns), strict=True))
+        rows = zip(*map(_cells, columns), strict=True)
+        if all(map(_numeric, columns)):
+            line = ",".join(["%r"] * len(columns)) + "\n"
+            fh.writelines(line % row for row in rows)
+        else:
+            writer.writerows(rows)
 
 
 def write_json(path, payload) -> None:

@@ -47,6 +47,43 @@ at most MAX_BLOCK: one call costs about as much as a hundred extra
 candidates, so a block should usually outlast the run to the next
 event.
 
+A single-flip chain in mode sp (the application preset's) scores a
+pass through ``FlipScreen`` instead while its current state is large,
+d_g·(d_r + 1)² >= SCREEN_MIN_WORK: each proposal's change comes from
+rank-one updates of the current state's factors in O(d_r²), against
+O(d_g·d_r²) to score it afresh.  Those changes are not
+``evaluate_stack``'s to the last bit, so a proposal goes on to
+``evaluate_stack``, with the current state in the same stack if its
+value is not known yet, when the screen flags it or when its change
+lies within GUARD of one of the two thresholds its decision compares
+it with, 0 and the log of its pre-drawn uniform.  Any other change is
+more than GUARD from both, and the screen is far closer than GUARD to
+``evaluate_stack`` (below), so its decision, its uniform or rewind and
+hence every later draw are the sequential kernel's.  The trace holds
+``evaluate_stack``'s own values: a screened accept's state is scored
+later, with up to MAX_BLOCK others in one stack, which by stack
+invariance gives the value a stack of one would.
+
+GUARD = 1e-6 nats is four orders above the largest difference measured
+between a screened change and ``evaluate_stack``'s: 1.2e-10 nats over
+all single-flip neighbours (660693 of them) of 33 states of the three
+``long-app`` chains of seed 1 (n = 20000, d_g up to 74, d_r up to
+8), and at most 3e-12 on the test suite's n = 40 states and 400
+random instances with n <= 64.  None of the 60000 proposals of those
+three chains landed within GUARD of a threshold, so the band costs
+nothing measurable.  At d_g = 64 and d_r = 7 a pass through the screen
+costs about 60 µs to factor a new state plus 120 µs a call, almost
+whatever the block's size, and a pass through ``evaluate_stack`` about
+255 µs a call plus 12 µs a proposal (one core of a shared 2-CPU x86-64
+machine, one BLAS thread).  Small states favour ``evaluate_stack``:
+SCREEN_MIN_WORK is the measured crossover.  On single-flip chains
+(medians of 5), the screen from d_g·(d_r + 1)² = 64 made an n = 40
+chain whose states measure 48 to 125 cost 26 % more than without it,
+while gates of 64 to 256 took 18-20 % off chains whose states measure
+300 to 1150 (n = 2000, the exchange and point100 dictionaries), and
+gates of 512 or more lost part of that.  Criterion 3's n = 8 chain
+(states of 8 to 48) stays on ``evaluate_stack``.
+
 A trace is the initial state plus the log of accepted flips: per
 iteration, the proposal target, the acceptance flag, the log density
 of the resulting state and the indices that changed.  The state after
@@ -55,8 +92,10 @@ from the flips of each vector in one pass of array operations: a bit's
 state is its initial value XOR the parity of its flips so far, and a
 flip sets its bit when its rank among that bit's flips says the bit
 was clear.  Traces also count the -inf proposals per target, the
-``evaluate_stack`` calls, the candidates those calls scored and the
-proposals decoded, including those discarded at a rewind.
+evaluator calls (``evaluate_stack`` and screen calls alike), the rows
+those calls scored, the proposals decoded, including those discarded
+at a rewind, and the screened proposals re-scored by
+``evaluate_stack``.
 """
 
 from __future__ import annotations
@@ -69,12 +108,18 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import ComputeError, ValidationError
-from .posterior import MODE_SP, LatentState, PosteriorContext, evaluate_stack
+from .posterior import MODE_SP, FlipScreen, LatentState, PosteriorContext, evaluate_stack
 
 TARGET_GAMMA = 0
 TARGET_R = 1
 MAX_BLOCK = 64
 ARRAY_MIN_BLOCK = 12
+# a single-flip chain in mode sp scores proposals through FlipScreen
+# while d_g·(d_r + 1)² of its state reaches this (see the module docstring)
+SCREEN_MIN_WORK = 256
+# nats: a screened change this near 0 or the log of its uniform is
+# re-scored by evaluate_stack (see the module docstring)
+GUARD = 1e-6
 
 
 @dataclass(frozen=True)
@@ -441,7 +486,7 @@ class MHTrace:
 
     def __init__(self, initial_gamma, initial_r, initial_log_density, which, accepted,
                  log_density, flip_offsets, flip_indices, neg_inf=(0, 0),
-                 evaluator_calls=0, candidates_evaluated=0, proposals_drawn=0):
+                 evaluator_calls=0, candidates_evaluated=0, proposals_drawn=0, rescored=0):
         self.initial_gamma = initial_gamma
         self.initial_r = initial_r
         self.initial_log_density = initial_log_density
@@ -451,13 +496,16 @@ class MHTrace:
         self.flip_offsets = flip_offsets
         self.flip_indices = flip_indices
         # (gamma, r) counts of proposals with density -inf, and the work
-        # of the block kernel: its evaluate_stack calls, the candidates they
-        # scored and the proposals it decoded, counting those discarded at
-        # a rewind; none of them enters the exported files
+        # of the block kernel: its evaluate_stack and FlipScreen calls, the
+        # proposals and states they scored, the proposals it decoded,
+        # counting those discarded at a rewind, and the screened proposals
+        # that a flag or the guard band sent on to evaluate_stack; none of
+        # them enters the exported files
         self.neg_inf = tuple(neg_inf)
         self.evaluator_calls = evaluator_calls
         self.candidates_evaluated = candidates_evaluated
         self.proposals_drawn = proposals_drawn
+        self.rescored = rescored
 
     def __len__(self) -> int:
         return len(self.accepted)
@@ -596,6 +644,7 @@ def run_metropolis_hastings(ctx: PosteriorContext, config: MHConfig) -> MHTrace:
         raise ValidationError("flip_r exceeds the number of free atoms")
 
     sp = ctx.mode == MODE_SP
+    screened = sp and config.flip_gamma == config.flip_r == 1
     attempts = 0
     while True:
         if attempts >= 100:
@@ -608,16 +657,23 @@ def run_metropolis_hastings(ctx: PosteriorContext, config: MHConfig) -> MHTrace:
         if log_post > -np.inf:
             break
 
-    initial_log_density = log_post
-
     total = config.total_iterations
     which = np.zeros(total, dtype=np.uint8)
     accepted = np.zeros(total, dtype=bool)
-    log_density = np.empty(total)
     flip_offsets = np.zeros(total + 1, dtype=np.int64)
     flip_chunks: list[np.ndarray] = []
     neg_inf = [0, 0]
-    events = calls = scored = drawn = 0
+    events = calls = scored = drawn = rescored = 0
+    # densities[i] is the log density of the state after the i-th accept
+    # (i = 0: the initial state); ``visits`` counts the accepts so far.  A
+    # screened accept waits in ``pending``, by its i, until evaluate_stack
+    # scores it.  log_post is the current state's log density, or None.
+    initial_log_density = log_post
+    densities = np.empty(total + 1)
+    densities[0] = log_post
+    visits = 0
+    pending: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+    screen = None
 
     t = first = size = 0  # proposals first..size-1 of the block are unscored
     while t < total:
@@ -627,14 +683,40 @@ def run_metropolis_hastings(ctx: PosteriorContext, config: MHConfig) -> MHTrace:
                 rng.bit_generator, size, (n, config.flip_gamma),
                 (m, config.flip_r) if sp else None)
             drawn += size
-        g_stack = _flip(gidx, flips_g[first:], n)
-        r_stack = _flip(ridx, flips_r[first:], m) if sp else None
-        values = evaluate_stack(ctx, g_stack, r_stack).tolist()
+        if screened and len(gidx) * (len(ridx) + 1) ** 2 >= SCREEN_MIN_WORK:
+            if screen is None:
+                screen = FlipScreen(ctx, gidx, ridx)
+            changes, doubt = _screen(screen, on_gamma[first:], flips_g[first:, 0],
+                                     flips_r[first:, 0], uniforms[first:])
+            values = [None] * len(changes)
+        else:
+            if log_post is None:
+                pending.pop(visits)
+            g_stack, r_stack, values, log_post = _score(
+                ctx, gidx, ridx, flips_g[first:], flips_r[first:] if sp else None, log_post)
+            densities[visits] = log_post
+            changes = [value - log_post for value in values]
+            doubt = None
         calls += 1
         scored += size - first
         start, first = first, size
         for k, j in enumerate(range(start, size)):
-            delta = values[k] - log_post
+            if doubt is not None and doubt[k]:
+                # evaluate_stack's values for this proposal and the block's
+                # later doubtful ones, from the current state
+                later = [i for i in range(k, len(doubt)) if doubt[i]]
+                rows = np.array(later) + start
+                if log_post is None:
+                    pending.pop(visits)
+                _, _, exact, log_post = _score(ctx, gidx, ridx, flips_g[rows], flips_r[rows],
+                                               log_post)
+                densities[visits] = log_post
+                calls += 1
+                scored += len(rows)
+                rescored += len(rows)
+                for i, value in zip(later, exact):
+                    values[i], changes[i], doubt[i] = value, value - log_post, False
+            delta = changes[k]
             target = TARGET_GAMMA if on_gamma[j] else TARGET_R
             used = -np.inf < delta < 0.0
             if used:
@@ -649,16 +731,30 @@ def run_metropolis_hastings(ctx: PosteriorContext, config: MHConfig) -> MHTrace:
             which[t] = target
             if accept:
                 if target == TARGET_GAMMA:
-                    idx, gidx = flips_g[j], g_stack[k][g_stack[k] < n]
+                    idx = flips_g[j]
+                    gidx = (g_stack[k][g_stack[k] < n] if doubt is None
+                            else _toggle(gidx, idx[0]))
                 else:
-                    idx, ridx = flips_r[j], r_stack[k][r_stack[k] < m]
+                    idx = flips_r[j]
+                    ridx = (r_stack[k][r_stack[k] < m] if doubt is None
+                            else _toggle(ridx, idx[0]))
                 log_post = values[k]
+                visits += 1
+                if log_post is not None:
+                    densities[visits] = log_post
+                else:
+                    pending[visits] = (gidx, ridx)
+                    if len(pending) == MAX_BLOCK:
+                        calls += 1
+                        scored += len(pending)
+                        _score_pending(ctx, pending, densities)
+                        log_post = float(densities[visits])
+                screen = None
                 accepted[t] = True
                 flip_chunks.append(np.sort(idx).astype(np.int32))
                 flip_offsets[t + 1] = flip_offsets[t] + idx.size
             else:
                 flip_offsets[t + 1] = flip_offsets[t]
-            log_density[t] = log_post
             t += 1
             if accept or not used:
                 events += 1
@@ -668,16 +764,82 @@ def run_metropolis_hastings(ctx: PosteriorContext, config: MHConfig) -> MHTrace:
                     first = j + 1
                 break
 
+    if pending:
+        calls += 1
+        scored += len(pending)
+        _score_pending(ctx, pending, densities)
     flip_indices = (np.concatenate(flip_chunks).astype(np.int32)
                     if flip_chunks else np.empty(0, dtype=np.int32))
     return MHTrace(
         initial_gamma=state.gamma, initial_r=state.r,
         initial_log_density=initial_log_density,
-        which=which, accepted=accepted, log_density=log_density,
+        which=which, accepted=accepted,
+        log_density=densities.take(np.cumsum(accepted)),
         flip_offsets=flip_offsets, flip_indices=flip_indices,
         neg_inf=neg_inf, evaluator_calls=calls, candidates_evaluated=scored,
-        proposals_drawn=drawn,
+        proposals_drawn=drawn, rescored=rescored,
     )
+
+
+def _score(ctx, gidx, ridx, flips_g, flips_r, log_post):
+    """One ``evaluate_stack`` call on the proposals with the given flip
+    rows from the state (gidx, ridx); in mode p ``ridx`` and ``flips_r``
+    are None.  Returns their selected-index rows, their log densities and
+    the state's own log density, which the same stack scores first, as a
+    proposal that flips nothing, when ``log_post`` is None."""
+    n, m = ctx.n, ctx.num_atoms
+    head = log_post is None
+    if head:
+        flips_g = np.concatenate((np.full((1, flips_g.shape[1]), n), flips_g))
+        if flips_r is not None:
+            flips_r = np.concatenate((np.full((1, flips_r.shape[1]), m), flips_r))
+    g_stack = _flip(gidx, flips_g, n)
+    r_stack = _flip(ridx, flips_r, m) if flips_r is not None else None
+    values = evaluate_stack(ctx, g_stack, r_stack).tolist()
+    if head:
+        log_post = values.pop(0)
+        g_stack = g_stack[1:]
+        r_stack = r_stack[1:] if r_stack is not None else None
+    return g_stack, r_stack, values, log_post
+
+
+def _screen(screen: FlipScreen, on_gamma, flips_g, flips_r, uniforms):
+    """The screen's log-density changes of a block's single-flip
+    proposals, and which of them need ``evaluate_stack``'s value: those
+    the screen flags and those within GUARD of 0 or of the log of their
+    uniform, where the change decides the proposal."""
+    on_gamma = np.array(on_gamma)
+    (gamma, flag_g), (atoms, flag_r) = screen.changes(flips_g[on_gamma], flips_r[~on_gamma])
+    changes = np.empty(len(on_gamma))
+    changes[on_gamma], changes[~on_gamma] = gamma, atoms
+    flagged = np.empty(len(on_gamma), dtype=bool)
+    flagged[on_gamma], flagged[~on_gamma] = flag_g, flag_r
+    with np.errstate(divide="ignore"):
+        log_u = np.log(uniforms)
+    flagged |= (np.abs(changes) <= GUARD) | (np.abs(changes - log_u) <= GUARD)
+    return changes.tolist(), flagged.tolist()
+
+
+def _toggle(selected: np.ndarray, index) -> np.ndarray:
+    """Ascending selected indices with ``index`` flipped."""
+    at = selected.searchsorted(index)
+    if at < len(selected) and selected[at] == index:
+        return np.delete(selected, at)
+    return np.insert(selected, at, index)
+
+
+def _score_pending(ctx, pending: dict, densities: np.ndarray) -> None:
+    """Score the states in ``pending`` in one ``evaluate_stack`` call,
+    each padded to the longest, and put their values in ``densities``."""
+    n, m = ctx.n, ctx.num_atoms
+    places = list(pending)
+    gidx = np.full((len(places), max(len(g) for g, _ in pending.values())), n)
+    ridx = np.full((len(places), max(len(r) for _, r in pending.values())), m)
+    for row, (g, r) in enumerate(pending.values()):
+        gidx[row, :len(g)] = g
+        ridx[row, :len(r)] = r
+    densities[places] = evaluate_stack(ctx, gidx, ridx)
+    pending.clear()
 
 
 def inclusion_probabilities(trace: MHTrace, burn_in: int) -> InclusionProbabilities:

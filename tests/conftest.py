@@ -76,6 +76,28 @@ def small_context(n=12, seed=42, mode=MODE_SP, pi=0.1, eta=0.2, c1=50.0, c2=50.0
     return PosteriorContext(series, hyper, design, MODE_SP)
 
 
+def chain_context(mode, duplicate=False):
+    """n = 40: two change-points, a sine and a peak; in mode sp a
+    dictionary of 6 atoms, or 7 with the sine twice."""
+    rng = np.random.default_rng(31)
+    n = 40
+    t = np.arange(1.0, n + 1.0)
+    values = (np.where(t > 12, 1.5, 0.0) - np.where(t > 27, 2.0, 0.0)
+              + 0.6 * np.sin(2 * np.pi * t / 10) + np.where(t == 20, 2.0, 0.0)
+              + rng.normal(0.0, 0.4, n))
+    series = TimeSeries(values=values)
+    if mode == MODE_P:
+        return PosteriorContext(series, Hyperparameters.flat(n, None, pi=0.05), None, MODE_P)
+    x = series.covariate
+    columns = [np.sin(2.0 * np.pi * 0.1 * x), np.cos(2.0 * np.pi * 0.1 * x),
+               indicator(x, 20.0), x ** 1, np.sin(2.0 * np.pi * 0.23 * x)]
+    if duplicate:
+        columns.insert(1, columns[0])
+    design = design_of(x, *columns)
+    hyper = Hyperparameters.flat(n, design.num_atoms, pi=0.05, eta=0.3)
+    return PosteriorContext(series, hyper, design, MODE_SP)
+
+
 def random_instance(rng, n_max=64, mode=MODE_SP, d_gamma_max=8, d_r_max=6):
     """Random (context, state) pair for oracle-agreement sweeps."""
     n = int(rng.integers(8, n_max + 1))

@@ -182,7 +182,7 @@ def exact_coefficients_dense(ctx: PosteriorContext, state: LatentState):
     n = ctx.n
     _, _, theta, q = _dense_normal_equations(ctx, state)
     sigma = math.sqrt(0.5 * q) * math.exp(math.lgamma(0.5 * (n - 1)) - math.lgamma(0.5 * n))
-    d_g = state.d_gamma
+    d_g = state.positions().size
     beta = theta[:d_g].copy()
     if ctx.mode != MODE_SP:
         return beta, None, sigma

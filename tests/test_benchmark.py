@@ -95,6 +95,15 @@ class TestRunBenchmark:
         with pytest.raises(ValidationError, match="n must be >= 25"):
             run_benchmark([0.1], replicates=1, config=FAST, n=24)
 
+    def test_unknown_family_is_rejected_before_any_fit(self, monkeypatch):
+        def no_fit(task):
+            raise AssertionError("a replicate was fitted")
+
+        monkeypatch.setattr(benchmark, "_fit_one", no_fit)
+        with pytest.raises(ValidationError, match="unknown simulation family 'wavelet'"):
+            run_benchmark([0.1], replicates=2, methods=("sp", "p"), config=FAST,
+                          family="wavelet")
+
 
 class TestNoiseFreeRecovery:
     def test_exact_detection_on_most_seeds(self):

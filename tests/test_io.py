@@ -61,6 +61,25 @@ class TestWriters:
     def test_columns_of_unequal_length_are_refused(self, tmp_path):
         with pytest.raises(ValueError):
             write_csv(tmp_path / "t.csv", ["a", "b"], [range(3), range(2)])
+        with pytest.raises(ValueError):
+            write_csv(tmp_path / "t.csv", ["a", "b"], [range(3), np.zeros(4)])
+
+    def test_numeric_table_has_the_bytes_of_csv_writer(self, tmp_path):
+        # a table of numeric arrays and ranges alone skips csv.writer
+        rng = np.random.default_rng(3)
+        columns = [range(1, 6001), rng.normal(size=6000) * 10.0 ** rng.integers(-300, 300, 6000),
+                   rng.integers(-2**62, 2**62, 6000), np.arange(6000, dtype=np.uint32),
+                   rng.normal(size=6000).astype(np.float32)]
+        columns[1][:4] = [np.nan, np.inf, -np.inf, -0.0]
+        path = tmp_path / "t.csv"
+        write_csv(path, ["t", "x", "i", "u", "f"], columns)
+        reference = tmp_path / "reference.csv"
+        with open(reference, "w", newline="", encoding="utf-8") as fh:
+            writer = csv.writer(fh, lineterminator="\n")
+            writer.writerow(["t", "x", "i", "u", "f"])
+            writer.writerows(zip(*(list(c) if isinstance(c, range) else c.tolist()
+                                   for c in columns)))
+        assert path.read_bytes() == reference.read_bytes()
 
     def test_json_format(self, tmp_path):
         path = tmp_path / "t.json"

@@ -21,7 +21,7 @@ from dictseg import (
     select_median_probability_model,
 )
 from dictseg.io import write_trace
-from conftest import design_of, indicator, make_state, proposal_hits, small_context
+from conftest import chain_context, design_of, make_state, proposal_hits, small_context
 from oracles import sequential_chain
 
 
@@ -262,28 +262,6 @@ class TestTraceExport:
         assert got == expected.tolist()
 
 
-def chain_context(mode, duplicate=False):
-    """n = 40: two change-points, a sine and a peak; in mode sp a
-    dictionary of 6 atoms, or 7 with the sine twice."""
-    rng = np.random.default_rng(31)
-    n = 40
-    t = np.arange(1.0, n + 1.0)
-    values = (np.where(t > 12, 1.5, 0.0) - np.where(t > 27, 2.0, 0.0)
-              + 0.6 * np.sin(2 * np.pi * t / 10) + np.where(t == 20, 2.0, 0.0)
-              + rng.normal(0.0, 0.4, n))
-    series = TimeSeries(values=values)
-    if mode == MODE_P:
-        return PosteriorContext(series, Hyperparameters.flat(n, None, pi=0.05), None, MODE_P)
-    x = series.covariate
-    columns = [np.sin(2.0 * np.pi * 0.1 * x), np.cos(2.0 * np.pi * 0.1 * x),
-               indicator(x, 20.0), x ** 1, np.sin(2.0 * np.pi * 0.23 * x)]
-    if duplicate:
-        columns.insert(1, columns[0])
-    design = design_of(x, *columns)
-    hyper = Hyperparameters.flat(n, design.num_atoms, pi=0.05, eta=0.3)
-    return PosteriorContext(series, hyper, design, MODE_SP)
-
-
 def assert_same_chain(trace, reference):
     for field in ("which", "accepted", "flip_offsets", "flip_indices",
                   "initial_gamma", "initial_r"):
@@ -354,6 +332,69 @@ class TestBlockKernel:
         np.testing.assert_array_equal(capped.log_density, default.log_density)
         assert capped.neg_inf == default.neg_inf
         assert capped.evaluator_calls > default.evaluator_calls
+
+
+# ways to run a single-flip chain in mode sp: (SCREEN_MIN_WORK, GUARD)
+SCREEN_WAYS = {
+    "screen": (0, mh.GUARD),            # every state through FlipScreen
+    "stack": (float("inf"), mh.GUARD),  # every state through evaluate_stack
+    "rescore": (0, float("inf")),       # screened, every proposal re-scored
+}
+
+
+class TestScreenedKernel:
+    @pytest.mark.parametrize("duplicate", [False, True], ids=["distinct", "duplicate"])
+    def test_screen_stack_and_rescore_give_the_sequential_chain(self, monkeypatch,
+                                                                duplicate):
+        ctx = chain_context(MODE_SP, duplicate)
+        config = MHConfig(total_iterations=3000, burn_in=500, flip_gamma=1, flip_r=1,
+                          init_segments=3, init_functions=3, seed=17)
+        reference, neg_inf = sequential_chain(ctx, config)
+        traces = {}
+        for way, (gate, guard) in SCREEN_WAYS.items():
+            monkeypatch.setattr(mh, "SCREEN_MIN_WORK", gate)
+            monkeypatch.setattr(mh, "GUARD", guard)
+            trace = traces[way] = run_metropolis_hastings(ctx, config)
+            assert_same_chain(trace, reference)
+            np.testing.assert_array_equal(trace.log_density, traces["screen"].log_density)
+            assert trace.initial_log_density == reference.initial_log_density
+            assert trace.neg_inf == neg_inf
+            assert len(trace) <= trace.candidates_evaluated
+        assert traces["screen"].evaluator_calls < len(reference)
+        assert traces["stack"].rescored == 0
+        # every proposal the chain walked was sent on to evaluate_stack
+        assert traces["rescore"].rescored >= len(reference)
+        assert traces["screen"].rescored < traces["rescore"].rescored
+        if duplicate:
+            # proposals that select both copies of the sine are flagged
+            assert traces["screen"].rescored >= sum(neg_inf) > 0
+
+    def test_gate_follows_the_state_size(self, monkeypatch):
+        # with the gate between the chain's state sizes, passes switch
+        # between the two ways and the chain is still the sequential one
+        ctx = chain_context(MODE_SP)
+        config = MHConfig(total_iterations=3000, burn_in=500, flip_gamma=1, flip_r=1,
+                          init_segments=3, init_functions=3, seed=17)
+        reference, neg_inf = sequential_chain(ctx, config)
+        sizes = [np.count_nonzero(g) * (np.count_nonzero(r) + 1) ** 2
+                 for _, g, r in reference.iter_states(0)]
+        monkeypatch.setattr(mh, "SCREEN_MIN_WORK", int(np.median(sizes)))
+        assert min(sizes) < mh.SCREEN_MIN_WORK <= max(sizes)
+        trace = run_metropolis_hastings(ctx, config)
+        assert_same_chain(trace, reference)
+        assert trace.neg_inf == neg_inf
+
+    def test_pending_states_are_scored_in_stacks(self, monkeypatch):
+        # a block cap of 1 flushes the accepted states one at a time
+        ctx = chain_context(MODE_SP, duplicate=True)
+        config = MHConfig(total_iterations=1500, burn_in=500, flip_gamma=1, flip_r=1,
+                          init_segments=3, init_functions=3, seed=8)
+        monkeypatch.setattr(mh, "SCREEN_MIN_WORK", 0)
+        default = run_metropolis_hastings(ctx, config)
+        monkeypatch.setattr(mh, "MAX_BLOCK", 1)
+        capped = run_metropolis_hastings(ctx, config)
+        assert_same_chain(capped, default)
+        np.testing.assert_array_equal(capped.log_density, default.log_density)
 
 
 def numpy_block(rng, size, gamma, r):

@@ -3,21 +3,24 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dictseg import dictionary, posterior
+from dictseg import dictionary, mh, posterior
 from dictseg import (
     MODE_P,
     MODE_SP,
     DesignMatrix,
     Hyperparameters,
     LatentState,
+    MHConfig,
     PosteriorContext,
     TimeSeries,
     ValidationError,
     exchange_design,
     log_integrated_posterior,
+    run_metropolis_hastings,
     simulation_design,
 )
-from conftest import design_of, indicator, make_state, random_instance, small_context
+from conftest import (chain_context, design_of, indicator, make_state, random_instance,
+                      small_context)
 from oracles import log_integrated_posterior_dense, log_posterior_quadrature, log_prior_inclusion
 
 
@@ -461,3 +464,100 @@ class TestMemoryGuard:
         monkeypatch.setattr(dictionary, "_physical_memory", lambda: 8 * (3 * 3 + 12 * 3))
         with pytest.raises(ValidationError, match=str(self.ESTIMATE)):
             small_context()
+
+
+def single_flips(ctx, state):
+    """Every single-flip neighbour of a mode-sp state, gamma flips 1..n-1
+    then atom flips 1..M-1: FlipScreen's changes and flags, and
+    evaluate_stack's changes."""
+    n, m = ctx.n, ctx.num_atoms
+    gidx, ridx = np.flatnonzero(state.gamma), np.flatnonzero(state.r)
+    gflips, rflips = np.arange(1, n), np.arange(1, m)
+    (gamma, flag_g), (atoms, flag_r) = posterior.FlipScreen(ctx, gidx, ridx).changes(
+        gflips, rflips)
+    base = posterior.evaluate_stack(ctx, gidx[None], ridx[None])[0]
+    assert np.isfinite(base)
+    exact = np.concatenate((
+        posterior.evaluate_stack(ctx, mh._flip(gidx, gflips[:, None], n),
+                                 np.tile(ridx, (len(gflips), 1))),
+        posterior.evaluate_stack(ctx, np.tile(gidx, (len(rflips), 1)),
+                                 mh._flip(ridx, rflips[:, None], m)))) - base
+    return np.concatenate((gamma, atoms)), np.concatenate((flag_g, flag_r)), exact
+
+
+def flip_of(ctx, position=None, atom=None):
+    """Where ``single_flips`` puts the flip of a 1-based position or atom."""
+    return position - 2 if atom is None else ctx.n - 1 + atom - 2
+
+
+def chain_states(ctx, seed=17):
+    """The initial state and three later states of a single-flip chain."""
+    config = MHConfig(total_iterations=2000, burn_in=0, flip_gamma=1, flip_r=1,
+                      init_segments=3, init_functions=3, seed=seed)
+    trace = run_metropolis_hastings(ctx, config)
+    return [trace.state_at(t) for t in (-1, 400, 1200, 1999)]
+
+
+def forcing_context():
+    """chain_context's mode-sp instance with position 13 and atom 5 (x)
+    forced in, and position 20 and atom 6 given prior probability 0."""
+    ctx = chain_context(MODE_SP)
+    pi, eta = ctx.hyper.pi.copy(), ctx.hyper.eta.copy()
+    pi[12], pi[19], eta[4], eta[5] = 1.0, 0.0, 1.0, 0.0
+    hyper = Hyperparameters(c1=ctx.hyper.c1, pi=pi, c2=ctx.hyper.c2, eta=eta)
+    return PosteriorContext(ctx.series, hyper, ctx.design, MODE_SP)
+
+
+class TestFlipScreen:
+    """FlipScreen against evaluate_stack on every single-flip neighbour:
+    unflagged changes agree within the kernel's guard band, and every
+    neighbour that evaluate_stack scores -inf is flagged."""
+
+    @staticmethod
+    def check(ctx, state):
+        screened, flagged, exact = single_flips(ctx, state)
+        assert (flagged | np.isfinite(exact)).all()
+        assert not flagged.all()
+        assert np.abs(screened[~flagged] - exact[~flagged]).max() <= mh.GUARD
+        return flagged, exact
+
+    @pytest.mark.parametrize("duplicate", [False, True], ids=["distinct", "duplicate"])
+    def test_chain_states(self, duplicate):
+        ctx = chain_context(MODE_SP, duplicate)
+        for state in chain_states(ctx):
+            self.check(ctx, state)
+
+    def test_duplicated_atom_is_flagged(self):
+        # atoms 2 and 3 are the same sine: adding the other copy is -inf
+        ctx = chain_context(MODE_SP, duplicate=True)
+        for copy in (2, 3):
+            flagged, exact = self.check(ctx, make_state([1, 13, 28], 40, [1, copy, 5], 7))
+            other = flip_of(ctx, atom=5 - copy)
+            assert exact[other] == -np.inf and flagged[other]
+
+    @pytest.mark.parametrize("positions", [[1, 13, 20, 21, 28], [1, 13, 20, 22, 28]],
+                             ids=["length-one", "split-to-length-one"])
+    def test_point_atom_on_a_segment_of_length_one(self, positions):
+        # atom 4 is the unit indicator at t = 20: alone in the segment
+        # [20, 21) or alone in it once 21 is split off
+        ctx = chain_context(MODE_SP)
+        self.check(ctx, make_state(positions, 40, [1, 4], 6))
+        self.check(ctx, make_state(positions, 40, [1, 2, 4, 5], 6))
+
+    def test_forced_and_zero_prior_bits_are_flagged(self):
+        ctx = forcing_context()
+        flagged, exact = self.check(ctx, make_state([1, 13, 28], 40, [1, 2, 5], 6))
+        # removing position 13 or atom 5, adding position 20 or atom 6
+        for flip in (flip_of(ctx, position=13), flip_of(ctx, position=20),
+                     flip_of(ctx, atom=5), flip_of(ctx, atom=6)):
+            assert exact[flip] == -np.inf and flagged[flip]
+
+    def test_random_instances(self, rng):
+        checked = 0
+        while checked < 25:
+            ctx, state = random_instance(rng)
+            gidx, ridx = np.flatnonzero(state.gamma), np.flatnonzero(state.r)
+            if ctx.num_atoms > 1 and np.isfinite(
+                    posterior.evaluate_stack(ctx, gidx[None], ridx[None])[0]):
+                self.check(ctx, state)
+                checked += 1
