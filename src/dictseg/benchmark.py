@@ -115,6 +115,8 @@ def run_benchmark(levels, replicates: int, methods=("sp", "p"),
                   n_jobs: int = 1) -> BenchmarkReport:
     if replicates < 1:
         raise ValidationError("replicates must be >= 1")
+    if n_jobs < 1:
+        raise ValidationError(f"n_jobs must be >= 1, got {n_jobs}")
     if n < MIN_SIMULATED_N:
         raise ValidationError(f"n must be >= {MIN_SIMULATED_N} for the simulated layout, got {n}")
     if family not in SIMULATION_FAMILIES:

@@ -41,8 +41,6 @@ class RunConfig:
     def validate(self) -> "RunConfig":
         """Check every setting by building the prior and the two stages'
         configs from it."""
-        if self.seed < 0:
-            raise ValidationError(f"seed must be nonnegative, got {self.seed}")
         if self.mode not in (MODE_SP, MODE_P):
             raise ValidationError(f"mode must be '{MODE_SP}' or '{MODE_P}'")
         Hyperparameters.flat(2, 2, c1=self.c1, c2=self.c2, pi=self.pi, eta=self.eta)

@@ -64,6 +64,8 @@ class GibbsConfig:
     def __post_init__(self):
         if self.total_iterations < 1:
             raise ValidationError("total_iterations must be positive")
+        if self.seed < 0:
+            raise ValidationError(f"seed must be nonnegative, got {self.seed}")
 
 
 @dataclass(frozen=True)

@@ -14,55 +14,74 @@ The chain is the sequential one, computed in blocks.  Each iteration
 draws, in this order, the coin (mode sp only), the flip indices and,
 only when the log-density change is finite and negative, the accept
 uniform.  Most proposals are rejected, so the kernel speculates
-(pre-fetching, Brockwell 2006): it draws the next B proposals as if
-every one drew its uniform, from one bulk read of the generator's raw
-PCG64 words decoded exactly as numpy's ``random``, ``integers`` and
-``choice`` decode them (Floyd's sampling, Lemire's bounded integers),
-and notes the word offset and buffered half-word just before each
-uniform.  So the block draws depend only on PCG64's raw output.  All
-32-bit draws of a block consume one stream of half-words: the half
-buffered at its start, if any, then the low and high halves of each
-word they read.  When both vectors flip the same number of bits, each
-proposal takes the same number of halves, so where every coin, 32-bit
-word and uniform sits follows from the block's size, its buffered half
-and whether it has coins, and blocks of ARRAY_MIN_BLOCK proposals or
-more decode in numpy uint64 arithmetic.  Shorter blocks, unequal flip
+(pre-fetching, Brockwell 2006), in three steps: draw, score, walk.
+
+Draw.  ``_draw_block`` draws the next B proposals as if every one drew
+its uniform, from one bulk read of the generator's raw PCG64 words
+decoded exactly as numpy's ``random``, ``integers`` and ``choice``
+decode them (Floyd's sampling, Lemire's bounded integers), and notes
+the word offset and buffered half-word just before each uniform.  So
+the block draws depend only on PCG64's raw output.  All 32-bit draws
+of a block consume one stream of half-words: the half buffered at its
+start, if any, then the low and high halves of each word they read.
+When both vectors flip the same number of bits, each proposal takes
+the same number of halves, so where every coin, 32-bit word and
+uniform sits follows from the block's size, its buffered half and
+whether it has coins, and blocks of ARRAY_MIN_BLOCK proposals or more
+decode in numpy uint64 arithmetic.  Shorter blocks, unequal flip
 counts, a range of 0 or one that needs 64-bit draws, numpy's tail
 shuffle and any block with a Lemire rejection go to a scalar decoder,
 one Python call per draw, which is also the reference for the array
-one.  Each pass of the kernel's loop scores the block's unscored
-proposals from the current state in one ``evaluate_stack`` call and
-walks them in order.  A proposal that needs its uniform uses the
-pre-drawn one; if it is accepted, the proposals after it stay valid
-(the draws do not depend on the state) and the next pass scores them
-from the new state.  A
-proposal whose change is >= 0 or -inf draws no uniform in the
-sequential chain, so the kernel moves the generator to that proposal's
-offset and half-word and draws a new block there.  A density is a function
-of its state alone, the same to the last bit in any stack, so the
-random stream, and hence the trace, is the sequential kernel's for any
-B.  B is three times the number of iterations per event so far (an
-accept or a -inf proposal, each of which ends or re-scores a block),
-at most MAX_BLOCK: one call costs about as much as a hundred extra
-candidates, so a block should usually outlast the run to the next
-event.
+one.
 
-A single-flip chain in mode sp (the application preset's) scores a
-pass through ``FlipScreen`` instead while its current state is large,
+Score.  Each pass of the kernel's loop takes the block's proposals not
+walked yet and scores them once, before its walk, from the current
+state: an accept always ends a pass, so no proposal before the pass's
+last one can change that state.  The pass goes through the screen
+where its gate applies (below); then one ``_score`` call sends to
+``evaluate_stack`` every proposal the walk may reach that the screen
+does not vouch for (with no screen, every proposal), stacked with the
+accepted states still waiting for a density (``pending``), the
+current one among them when its density is not known.
+``_score`` is the module's one ``evaluate_stack`` call site; it also
+scores the initial state and, after the loop, the states left waiting.
+
+Walk.  The walk decides, rewinds and records; it scores nothing.  A
+proposal that needs its uniform uses the pre-drawn one; if it is
+accepted, the proposals after it stay valid (the draws do not depend
+on the state) and the next pass scores them from the new state.  A
+proposal whose change is >= 0 or -inf draws no uniform in the
+sequential chain, so the walk moves the generator to that proposal's
+offset and half-word and the next pass draws a new block there.  An
+accepted proposal's state is ``_flip`` of its own flip row, and its
+density is its score, or waits in ``pending`` if the screen vouched
+for it.  A density is a function of its state alone, the same to the
+last bit in any stack, so the random stream, and hence the trace, is
+the sequential kernel's for any B.  B is three times the number of
+iterations per event so far (an accept or a -inf proposal, each of
+which ends a pass), at most MAX_BLOCK: one call costs about as much
+as a hundred extra candidates, so a block should usually outlast the
+run to the next event.
+
+A single-flip chain in mode sp (the application preset's) sends a pass
+through ``FlipScreen`` first while its current state is large,
 d_g·(d_r + 1)² >= SCREEN_MIN_WORK: each proposal's change comes from
 rank-one updates of the current state's factors in O(d_r²), against
 O(d_g·d_r²) to score it afresh.  Those changes are not
-``evaluate_stack``'s to the last bit, so a proposal goes on to
-``evaluate_stack``, with the current state in the same stack if its
-value is not known yet, when the screen flags it or when its change
+``evaluate_stack``'s to the last bit, so a proposal goes on to the
+pass's ``_score`` call when the screen flags it or when its change
 lies within GUARD of one of the two thresholds its decision compares
 it with, 0 and the log of its pre-drawn uniform.  Any other change is
 more than GUARD from both, and the screen is far closer than GUARD to
 ``evaluate_stack`` (below), so its decision, its uniform or rewind and
-hence every later draw are the sequential kernel's.  The trace holds
-``evaluate_stack``'s own values: a screened accept's state is scored
-later, with up to MAX_BLOCK others in one stack, which by stack
-invariance gives the value a stack of one would.
+hence every later draw are the sequential kernel's.  The walk never
+passes an unflagged proposal whose change ends the pass (an accept, or
+a change of -inf), so no proposal after the first such one goes on.
+The trace holds ``evaluate_stack``'s own values: a screened accept's
+state waits in ``pending`` for a later pass's ``_score`` call, which
+by stack invariance gives the value a stack of one would.  A pass
+makes that call, even when the screen vouches for all its proposals,
+once MAX_BLOCK states wait.
 
 GUARD = 1e-6 nats is four orders above the largest difference measured
 between a screened change and ``evaluate_stack``'s: 1.2e-10 nats over
@@ -92,10 +111,11 @@ from the flips of each vector in one pass of array operations: a bit's
 state is its initial value XOR the parity of its flips so far, and a
 flip sets its bit when its rank among that bit's flips says the bit
 was clear.  Traces also count the -inf proposals per target, the
-evaluator calls (``evaluate_stack`` and screen calls alike), the rows
-those calls scored, the proposals decoded, including those discarded
-at a rewind, and the screened proposals re-scored by
-``evaluate_stack``.
+evaluator calls after the initial state (``evaluate_stack`` and
+``FlipScreen.changes`` calls alike), the rows those calls scored
+(proposals and pending states), the proposals decoded, including
+those discarded at a rewind, and the screened proposals sent on to
+``evaluate_stack``, whether or not the walk reaches them.
 """
 
 from __future__ import annotations
@@ -141,6 +161,8 @@ class MHConfig:
             raise ValidationError("flip counts must be >= 1")
         if self.init_segments < 1 or self.init_functions < 1:
             raise ValidationError("initial counts must be >= 1")
+        if self.seed < 0:
+            raise ValidationError(f"seed must be nonnegative, got {self.seed}")
 
 
 @dataclass(frozen=True)
@@ -478,7 +500,8 @@ def _flip(selected: np.ndarray, flips: np.ndarray, pad: int) -> np.ndarray:
     rows[:, 1:][twice] = pad
     rows[:, :-1][twice] = pad
     rows.sort(axis=1)
-    return rows[:, :(rows < pad).sum(axis=1).max()]
+    # the column minima ascend; a column is padding in every row where its minimum is pad
+    return rows[:, :rows.min(axis=0, initial=pad).searchsorted(pad)]
 
 
 class MHTrace:
@@ -496,11 +519,12 @@ class MHTrace:
         self.flip_offsets = flip_offsets
         self.flip_indices = flip_indices
         # (gamma, r) counts of proposals with density -inf, and the work
-        # of the block kernel: its evaluate_stack and FlipScreen calls, the
-        # proposals and states they scored, the proposals it decoded,
-        # counting those discarded at a rewind, and the screened proposals
-        # that a flag or the guard band sent on to evaluate_stack; none of
-        # them enters the exported files
+        # of the block kernel after the initial state: its evaluate_stack
+        # and FlipScreen.changes calls, the proposals and pending states
+        # they scored, the proposals it decoded, counting those discarded
+        # at a rewind, and the screened proposals that a flag or the guard
+        # band sent on to evaluate_stack; none of them enters the
+        # exported files
         self.neg_inf = tuple(neg_inf)
         self.evaluator_calls = evaluator_calls
         self.candidates_evaluated = candidates_evaluated
@@ -606,6 +630,8 @@ class MHTrace:
 
     def acceptance_by_block(self, block: int = 1000) -> np.ndarray:
         """Acceptance fraction per block of iterations."""
+        if block < 1:
+            raise ValidationError(f"block must be >= 1, got {block}")
         total = len(self)
         edges = list(range(0, total, block)) + [total]
         return np.array([self.accepted[a:b].mean() for a, b in zip(edges, edges[1:])])
@@ -645,37 +671,32 @@ def run_metropolis_hastings(ctx: PosteriorContext, config: MHConfig) -> MHTrace:
 
     sp = ctx.mode == MODE_SP
     screened = sp and config.flip_gamma == config.flip_r == 1
-    attempts = 0
-    while True:
-        if attempts >= 100:
-            raise ComputeError("could not find an initial state with finite density")
-        state = _sample_initial(ctx, config, rng)
-        attempts += 1
-        gidx = np.flatnonzero(state.gamma)
-        ridx = np.flatnonzero(state.r) if sp else None
-        log_post = float(evaluate_stack(ctx, gidx[None], None if ridx is None else ridx[None])[0])
-        if log_post > -np.inf:
-            break
-
     total = config.total_iterations
-    which = np.zeros(total, dtype=np.uint8)
-    accepted = np.zeros(total, dtype=bool)
-    flip_offsets = np.zeros(total + 1, dtype=np.int64)
-    flip_chunks: list[np.ndarray] = []
-    neg_inf = [0, 0]
-    events = calls = scored = drawn = rescored = 0
     # densities[i] is the log density of the state after the i-th accept
     # (i = 0: the initial state); ``visits`` counts the accepts so far.  A
-    # screened accept waits in ``pending``, by its i, until evaluate_stack
-    # scores it.  log_post is the current state's log density, or None.
-    initial_log_density = log_post
+    # state whose density is not known yet waits in ``pending``, by its i,
+    # for the next evaluate_stack call.
     densities = np.empty(total + 1)
-    densities[0] = log_post
-    visits = 0
-    pending: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+    no_flips = np.empty((0, 1), dtype=np.int64)
+    for _ in range(100):
+        state = _sample_initial(ctx, config, rng)
+        gidx = np.flatnonzero(state.gamma)
+        ridx = np.flatnonzero(state.r) if sp else None
+        _score(ctx, {0: (gidx, ridx)}, densities, gidx, ridx, no_flips, no_flips if sp else None)
+        if densities[0] > -np.inf:
+            break
+    else:
+        raise ComputeError("could not find an initial state with finite density")
+
+    which = np.zeros(total, dtype=np.uint8)
+    accepted = np.zeros(total, dtype=bool)
+    flipped: list[int] = []
+    neg_inf = [0, 0]
+    events = calls = scored = drawn = rescored = visits = 0
+    pending: dict[int, tuple[np.ndarray, np.ndarray | None]] = {}
     screen = None
 
-    t = first = size = 0  # proposals first..size-1 of the block are unscored
+    t = first = size = 0  # proposals first..size-1 of the block are not walked yet
     while t < total:
         if first == size:
             first, size = 0, min(MAX_BLOCK, total - t, max(1, 3 * (t + 1) // (events + 1)))
@@ -683,131 +704,115 @@ def run_metropolis_hastings(ctx: PosteriorContext, config: MHConfig) -> MHTrace:
                 rng.bit_generator, size, (n, config.flip_gamma),
                 (m, config.flip_r) if sp else None)
             drawn += size
+        # score: the screen where the gate applies, then one evaluate_stack
+        # call on every proposal it does not vouch for and the pending states
+        changes, ask, rows = None, range(size - first), slice(first, size)
         if screened and len(gidx) * (len(ridx) + 1) ** 2 >= SCREEN_MIN_WORK:
             if screen is None:
                 screen = FlipScreen(ctx, gidx, ridx)
-            changes, doubt = _screen(screen, on_gamma[first:], flips_g[first:, 0],
-                                     flips_r[first:, 0], uniforms[first:])
-            values = [None] * len(changes)
-        else:
-            if log_post is None:
-                pending.pop(visits)
-            g_stack, r_stack, values, log_post = _score(
-                ctx, gidx, ridx, flips_g[first:], flips_r[first:] if sp else None, log_post)
-            densities[visits] = log_post
-            changes = [value - log_post for value in values]
-            doubt = None
-        calls += 1
-        scored += size - first
+            changes, ask = _screen(screen, on_gamma[first:], flips_g[first:, 0],
+                                   flips_r[first:, 0], uniforms[first:])
+            values, rows = [None] * len(changes), first + ask
+            calls, scored, rescored = calls + 1, scored + len(changes), rescored + len(ask)
+        if len(ask) or len(pending) >= MAX_BLOCK:
+            calls, scored = calls + 1, scored + len(pending) + len(ask)
+            exact = _score(ctx, pending, densities, gidx, ridx, flips_g[rows],
+                           flips_r[rows] if sp else None)
+            here = float(densities[visits])
+            if changes is None:
+                values, changes = exact, [value - here for value in exact]
+            else:
+                for k, value in zip(ask, exact):
+                    values[k], changes[k] = value, value - here
+        # walk: decide in order; an accept or a -inf proposal ends the pass
         start, first = first, size
         for k, j in enumerate(range(start, size)):
-            if doubt is not None and doubt[k]:
-                # evaluate_stack's values for this proposal and the block's
-                # later doubtful ones, from the current state
-                later = [i for i in range(k, len(doubt)) if doubt[i]]
-                rows = np.array(later) + start
-                if log_post is None:
-                    pending.pop(visits)
-                _, _, exact, log_post = _score(ctx, gidx, ridx, flips_g[rows], flips_r[rows],
-                                               log_post)
-                densities[visits] = log_post
-                calls += 1
-                scored += len(rows)
-                rescored += len(rows)
-                for i, value in zip(later, exact):
-                    values[i], changes[i], doubt[i] = value, value - log_post, False
             delta = changes[k]
             target = TARGET_GAMMA if on_gamma[j] else TARGET_R
+            which[t] = target
+            t += 1
             used = -np.inf < delta < 0.0
+            if used and math.log(uniforms[j]) >= delta:
+                continue
+            events += 1
             if used:
-                accept = math.log(uniforms[j]) < delta
+                # the later proposals stay valid: the next pass scores
+                # them from the new state
+                first = j + 1
             else:
                 # the sequential kernel draws no uniform here: rewind the
                 # stream to just before it and start a new block
                 _seek(rng.bit_generator, origin, *marks[j])
-                accept = delta >= 0.0
-                if not accept:
+                if not delta >= 0.0:
                     neg_inf[target] += 1
-            which[t] = target
-            if accept:
-                if target == TARGET_GAMMA:
-                    idx = flips_g[j]
-                    gidx = (g_stack[k][g_stack[k] < n] if doubt is None
-                            else _toggle(gidx, idx[0]))
-                else:
-                    idx = flips_r[j]
-                    ridx = (r_stack[k][r_stack[k] < m] if doubt is None
-                            else _toggle(ridx, idx[0]))
-                log_post = values[k]
-                visits += 1
-                if log_post is not None:
-                    densities[visits] = log_post
-                else:
-                    pending[visits] = (gidx, ridx)
-                    if len(pending) == MAX_BLOCK:
-                        calls += 1
-                        scored += len(pending)
-                        _score_pending(ctx, pending, densities)
-                        log_post = float(densities[visits])
-                screen = None
-                accepted[t] = True
-                flip_chunks.append(np.sort(idx).astype(np.int32))
-                flip_offsets[t + 1] = flip_offsets[t] + idx.size
+                    break
+            accepted[t - 1] = True
+            if target == TARGET_GAMMA:
+                row = flips_g[j:j + 1]
+                gidx = _flip(gidx, row, n)[0]
             else:
-                flip_offsets[t + 1] = flip_offsets[t]
-            t += 1
-            if accept or not used:
-                events += 1
-                if accept and used:
-                    # the leftover proposals stay valid: score them
-                    # from the new state
-                    first = j + 1
-                break
+                row = flips_r[j:j + 1]
+                ridx = _flip(ridx, row, m)[0]
+            flipped += sorted(row[0].tolist())
+            visits += 1
+            if values[k] is None:
+                pending[visits] = (gidx, ridx)
+            else:
+                densities[visits] = values[k]
+            screen = None
+            break
 
     if pending:
-        calls += 1
-        scored += len(pending)
-        _score_pending(ctx, pending, densities)
-    flip_indices = (np.concatenate(flip_chunks).astype(np.int32)
-                    if flip_chunks else np.empty(0, dtype=np.int32))
+        calls, scored = calls + 1, scored + len(pending)
+        _score(ctx, pending, densities, gidx, ridx, no_flips, no_flips if sp else None)
+    counts = np.where(which == TARGET_GAMMA, config.flip_gamma, config.flip_r) * accepted
     return MHTrace(
         initial_gamma=state.gamma, initial_r=state.r,
-        initial_log_density=initial_log_density,
+        initial_log_density=float(densities[0]),
         which=which, accepted=accepted,
         log_density=densities.take(np.cumsum(accepted)),
-        flip_offsets=flip_offsets, flip_indices=flip_indices,
+        flip_offsets=np.concatenate(([0], np.cumsum(counts))),
+        flip_indices=np.array(flipped, dtype=np.int32),
         neg_inf=neg_inf, evaluator_calls=calls, candidates_evaluated=scored,
         proposals_drawn=drawn, rescored=rescored,
     )
 
 
-def _score(ctx, gidx, ridx, flips_g, flips_r, log_post):
-    """One ``evaluate_stack`` call on the proposals with the given flip
-    rows from the state (gidx, ridx); in mode p ``ridx`` and ``flips_r``
-    are None.  Returns their selected-index rows, their log densities and
-    the state's own log density, which the same stack scores first, as a
-    proposal that flips nothing, when ``log_post`` is None."""
-    n, m = ctx.n, ctx.num_atoms
-    head = log_post is None
-    if head:
-        flips_g = np.concatenate((np.full((1, flips_g.shape[1]), n), flips_g))
-        if flips_r is not None:
-            flips_r = np.concatenate((np.full((1, flips_r.shape[1]), m), flips_r))
-    g_stack = _flip(gidx, flips_g, n)
-    r_stack = _flip(ridx, flips_r, m) if flips_r is not None else None
+def _score(ctx, pending: dict, densities: np.ndarray, gidx, ridx, flips_g, flips_r) -> list:
+    """One ``evaluate_stack`` call on the states in ``pending``, whose
+    values it puts in ``densities`` by their keys before clearing
+    ``pending``, and on the proposals with the given flip rows from the
+    state (gidx, ridx), whose log densities it returns.  In mode p
+    ``ridx``, ``flips_r`` and each pending state's atoms are None."""
+    g_stack = _flip(gidx, flips_g, ctx.n)
+    r_stack = _flip(ridx, flips_r, ctx.num_atoms) if flips_r is not None else None
+    if pending:
+        g_stack = _stack([g for g, _ in pending.values()], g_stack, ctx.n)
+        if r_stack is not None:
+            r_stack = _stack([r for _, r in pending.values()], r_stack, ctx.num_atoms)
     values = evaluate_stack(ctx, g_stack, r_stack).tolist()
-    if head:
-        log_post = values.pop(0)
-        g_stack = g_stack[1:]
-        r_stack = r_stack[1:] if r_stack is not None else None
-    return g_stack, r_stack, values, log_post
+    for visit in pending:
+        densities[visit] = values.pop(0)
+    pending.clear()
+    return values
+
+
+def _stack(states: list, stack: np.ndarray, pad: int) -> np.ndarray:
+    """The selected indices of each of ``states``, then the rows of
+    ``stack``, padded with ``pad`` to one width."""
+    rows = np.full((len(states) + len(stack), max(stack.shape[1], *map(len, states))), pad)
+    for row, selected in zip(rows, states):
+        row[:len(selected)] = selected
+    rows[len(states):, :stack.shape[1]] = stack
+    return rows
 
 
 def _screen(screen: FlipScreen, on_gamma, flips_g, flips_r, uniforms):
     """The screen's log-density changes of a block's single-flip
-    proposals, and which of them need ``evaluate_stack``'s value: those
-    the screen flags and those within GUARD of 0 or of the log of their
-    uniform, where the change decides the proposal."""
+    proposals, and the positions of those that need ``evaluate_stack``'s
+    value: those the screen flags and those within GUARD of 0 or of the
+    log of their uniform, where the change decides the proposal, up to
+    the first proposal that surely ends the pass (the walk stops there)."""
     on_gamma = np.array(on_gamma)
     (gamma, flag_g), (atoms, flag_r) = screen.changes(flips_g[on_gamma], flips_r[~on_gamma])
     changes = np.empty(len(on_gamma))
@@ -817,29 +822,11 @@ def _screen(screen: FlipScreen, on_gamma, flips_g, flips_r, uniforms):
     with np.errstate(divide="ignore"):
         log_u = np.log(uniforms)
     flagged |= (np.abs(changes) <= GUARD) | (np.abs(changes - log_u) <= GUARD)
-    return changes.tolist(), flagged.tolist()
-
-
-def _toggle(selected: np.ndarray, index) -> np.ndarray:
-    """Ascending selected indices with ``index`` flipped."""
-    at = selected.searchsorted(index)
-    if at < len(selected) and selected[at] == index:
-        return np.delete(selected, at)
-    return np.insert(selected, at, index)
-
-
-def _score_pending(ctx, pending: dict, densities: np.ndarray) -> None:
-    """Score the states in ``pending`` in one ``evaluate_stack`` call,
-    each padded to the longest, and put their values in ``densities``."""
-    n, m = ctx.n, ctx.num_atoms
-    places = list(pending)
-    gidx = np.full((len(places), max(len(g) for g, _ in pending.values())), n)
-    ridx = np.full((len(places), max(len(r) for _, r in pending.values())), m)
-    for row, (g, r) in enumerate(pending.values()):
-        gidx[row, :len(g)] = g
-        ridx[row, :len(r)] = r
-    densities[places] = evaluate_stack(ctx, gidx, ridx)
-    pending.clear()
+    if flagged.any():
+        # an unflagged accept or -inf change surely ends the walk there
+        ends = ~flagged & ((log_u < changes) | (changes == -np.inf))
+        flagged &= np.cumsum(ends) == 0
+    return changes.tolist(), np.flatnonzero(flagged)
 
 
 def inclusion_probabilities(trace: MHTrace, burn_in: int) -> InclusionProbabilities:

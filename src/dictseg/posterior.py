@@ -258,16 +258,6 @@ class _IndexPrior:
             value[self.forced.take(idx).sum(axis=0) < self.num_forced] = -np.inf
         return value
 
-    def log_prior(self, bits: np.ndarray) -> float:
-        """The log prior alone, ``cost`` not taken off, of one vector of
-        bits whose first bit is set; O(number of set bits).  A plain sum,
-        not ``__call__``'s row loop, which takes one Python step per set
-        bit and exists only to make a value independent of its stack."""
-        idx = np.flatnonzero(bits)
-        if self.forced.take(idx).sum() < self.num_forced:
-            return -np.inf
-        return self.base + float(self.gain.take(idx).sum()) + self.cost * len(idx)
-
 
 class PosteriorContext:
     """Immutable per-series cache shared by every posterior evaluation.
@@ -341,10 +331,14 @@ class PosteriorContext:
         return self._gram[:self.num_atoms, :self.num_atoms]
 
     def log_prior_gamma(self, gamma: np.ndarray) -> float:
-        return self._weight_gamma.log_prior(gamma)
+        """Log prior of one gamma vector whose first bit is set."""
+        idx = np.flatnonzero(gamma)[:, None]
+        return float(self._weight_gamma(idx)[0]) + self._weight_gamma.cost * len(idx)
 
     def log_prior_r(self, r: np.ndarray) -> float:
-        return self._weight_r.log_prior(r)
+        """Log prior of one r vector whose first bit is set."""
+        idx = np.flatnonzero(r)[:, None]
+        return float(self._weight_r(idx)[0]) + self._weight_r.cost * len(idx)
 
     def check_state(self, state: LatentState) -> None:
         if len(state.gamma) != self.n:

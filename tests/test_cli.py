@@ -470,9 +470,9 @@ class TestBench:
 
     @pytest.mark.parametrize("option", [["--replicates", "0"], ["--sigmas", "0.1,abc"],
                                         ["--sigmas", "0.1,-1"], ["--methods", "sp,pp"],
-                                        ["--seed", "-3"], ["--n", "24"]],
+                                        ["--seed", "-3"], ["--n", "24"], ["--jobs", "-3"]],
                              ids=["replicates", "sigmas", "negative-sigma", "methods",
-                                  "negative-seed", "short-series"])
+                                  "negative-seed", "short-series", "jobs"])
     def test_bad_input_is_a_validation_error(self, workspace, capsys, option):
         code = main(["bench", "--sigmas", "0.1", "--replicates", "1",
                      "--config", str(workspace / "fast.cfg"), *option,

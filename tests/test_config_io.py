@@ -60,6 +60,13 @@ class TestRunConfig:
         with pytest.raises(ValidationError):
             derive_seeds(-1, 2)
 
+    def test_stage_configs_reject_a_negative_seed(self):
+        for make in (lambda seed: MHConfig(seed=seed),
+                     lambda seed: GibbsConfig(seed=seed, store_trace=False)):
+            with pytest.raises(ValidationError, match="seed must be nonnegative, got -1"):
+                make(-1)
+            assert make(0).seed == 0
+
     def test_gibbs_burn_in_is_ignored(self, tmp_path):
         path = tmp_path / "run.cfg"
         path.write_text("gibbs_iterations = 800\n")

@@ -21,6 +21,7 @@ from dictseg import (
     select_median_probability_model,
 )
 from dictseg.io import write_trace
+from dictseg.posterior import FlipScreen
 from conftest import chain_context, design_of, make_state, proposal_hits, small_context
 from oracles import sequential_chain
 
@@ -188,6 +189,12 @@ class TestInclusionProbabilities:
         blocks = trace.acceptance_by_block(1000)
         assert len(blocks) == 4
         assert overall == pytest.approx(trace.accepted.mean())
+
+    @pytest.mark.parametrize("block", [0, -5])
+    def test_acceptance_block_must_be_positive(self, block):
+        _, _, trace = run_small_chain(total=200, burn_in=50)
+        with pytest.raises(ValidationError, match="block must be >= 1"):
+            trace.acceptance_by_block(block)
 
     def test_unknown_target_is_rejected(self):
         _, _, trace = run_small_chain(total=200, burn_in=50)
@@ -383,6 +390,45 @@ class TestScreenedKernel:
         trace = run_metropolis_hastings(ctx, config)
         assert_same_chain(trace, reference)
         assert trace.neg_inf == neg_inf
+
+    @pytest.mark.parametrize("way", [*SCREEN_WAYS, "p"])
+    def test_counts_are_the_calls_made(self, monkeypatch, way):
+        # the trace counts the evaluate_stack and FlipScreen.changes calls
+        # made after the initial state, and the rows those calls score
+        made = {"stack": [], "screen": []}
+        started = []
+
+        def counted(kind, call, rows):
+            def wrapper(*args):
+                if started:
+                    made[kind].append(rows(*args))
+                return call(*args)
+            return wrapper
+
+        draw_block = mh._draw_block
+        monkeypatch.setattr(mh, "_draw_block",
+                            lambda *args: started.append(1) or draw_block(*args))
+        monkeypatch.setattr(mh, "evaluate_stack",
+                            counted("stack", mh.evaluate_stack, lambda ctx, g, r: len(g)))
+        monkeypatch.setattr(FlipScreen, "changes",
+                            counted("screen", FlipScreen.changes, lambda _, g, r: len(g) + len(r)))
+        if way == "p":
+            ctx, flips = chain_context(MODE_P), 2
+        else:
+            ctx, flips = chain_context(MODE_SP, duplicate=True), 1
+            monkeypatch.setattr(mh, "SCREEN_MIN_WORK", SCREEN_WAYS[way][0])
+            monkeypatch.setattr(mh, "GUARD", SCREEN_WAYS[way][1])
+        config = MHConfig(total_iterations=3000, burn_in=500, flip_gamma=flips, flip_r=flips,
+                          init_segments=3, init_functions=3, seed=17)
+        trace = run_metropolis_hastings(ctx, config)
+        assert trace.evaluator_calls == len(made["stack"]) + len(made["screen"])
+        assert trace.candidates_evaluated == sum(made["stack"]) + sum(made["screen"])
+        if way in ("stack", "p"):
+            assert not made["screen"] and trace.rescored == 0
+        elif way == "screen":
+            assert 0 < trace.rescored < sum(made["screen"])
+        else:
+            assert trace.rescored == sum(made["screen"])
 
     def test_pending_states_are_scored_in_stacks(self, monkeypatch):
         # a block cap of 1 flushes the accepted states one at a time
