@@ -122,8 +122,8 @@ def run_benchmark(levels, replicates: int, methods=("sp", "p"),
     if family not in SIMULATION_FAMILIES:
         raise ValidationError(f"unknown simulation family {family!r}; "
                               f"expected one of {', '.join(SIMULATION_FAMILIES)}")
-    if not all(sigma >= 0.0 for sigma in levels):
-        raise ValidationError(f"noise levels must be nonnegative numbers, got {list(levels)}")
+    if not all(0.0 <= sigma < np.inf for sigma in levels):
+        raise ValidationError(f"noise levels must be finite numbers >= 0, got {list(levels)}")
     methods = tuple(methods)
     if not methods or len(set(methods)) != len(methods) or not set(methods) <= {MODE_SP, MODE_P}:
         raise ValidationError(f"methods must be distinct names among '{MODE_SP}' and "

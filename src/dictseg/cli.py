@@ -216,6 +216,8 @@ def cmd_bench(args) -> int:
 
 
 def cmd_dict(args) -> int:
+    if args.n < 2:
+        raise ValidationError(f"--n must be >= 2, got {args.n}")
     covariate = np.arange(1, args.n + 1, dtype=float)
     series = TimeSeries(values=np.zeros(args.n), covariate=covariate)
     design, labels = resolve_design(args.preset, series)

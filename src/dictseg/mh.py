@@ -18,8 +18,8 @@ uniform.  Most proposals are rejected, so the kernel speculates
 
 Draw.  ``_draw_block`` draws the next B proposals as if every one drew
 its uniform, from one bulk read of the generator's raw PCG64 words
-decoded exactly as numpy's ``random``, ``integers`` and ``choice``
-decode them (Floyd's sampling, Lemire's bounded integers), and notes
+decoded exactly as numpy's ``random`` and ``choice`` decode them
+(Floyd's sampling, Lemire's bounded integers), and notes
 the word offset and buffered half-word just before each uniform.  So
 the block draws depend only on PCG64's raw output.  All 32-bit draws
 of a block consume one stream of half-words: the half buffered at its
@@ -177,8 +177,6 @@ def _draw_flip_indices(rng: np.random.Generator, length: int, count: int) -> np.
     """0-based indices to flip, uniform without replacement from {1..length-1}."""
     if count > length - 1:
         raise ValidationError(f"cannot flip {count} of {length - 1} free bits")
-    if count == 1:
-        return np.array([rng.integers(length - 1) + 1])
     return rng.choice(length - 1, size=count, replace=False) + 1
 
 
@@ -260,12 +258,9 @@ def _ranges(gamma: tuple[int, int], r: tuple[int, int] | None):
     highs = []
     for length, _ in vectors:
         pop = length - 1
-        if count == 1:
-            high = [pop - 1]
-        elif pop > 10000 and count > pop // 50:
+        if pop > 10000 and count > pop // 50:
             return None
-        else:
-            high = list(range(pop - count, pop)) + list(range(count - 1, 0, -1))
+        high = list(range(pop - count, pop)) + list(range(count - 1, 0, -1))
         if not 0 < min(high) <= max(high) <= _LOW:
             return None
         highs.append(high)
@@ -400,10 +395,10 @@ def _decode_scalar(bit_generator, size: int, gamma: tuple[int, int],
       half for the next 32-bit draw; 64-bit draws leave the buffer alone.
     - An integer in [0, k] is Lemire's multiply-and-reject, 32-bit below
       2³², 64-bit above, and no draw for k = 0.
-    - ``integers(length - 1)`` gives one flip; ``choice`` without
-      replacement gives more: Floyd's sampling then a shuffle, or for
-      length - 1 > 10000 and count > (length - 1) // 50 a tail shuffle
-      of the whole range.
+    - ``choice`` without replacement is Floyd's sampling then a shuffle,
+      or for length - 1 > 10000 and count > (length - 1) // 50 a tail
+      shuffle of the whole range.  One flip is Floyd's single draw, the
+      same value and words as ``integers(length - 1)``.
     """
     start = bit_generator.state
     half = start["uinteger"] if start["has_uint32"] else None
@@ -442,8 +437,6 @@ def _decode_scalar(bit_generator, size: int, gamma: tuple[int, int],
 
     def flip_indices(pop, count):
         # 0-based draws from {0..pop-1}
-        if count == 1:
-            return [bounded(pop - 1)]
         if pop > 10000 and count > pop // 50:
             moved = {}
             for i in range(pop - 1, max(pop - count, 1) - 1, -1):
@@ -644,8 +637,7 @@ def _sample_initial(ctx: PosteriorContext, config: MHConfig,
         raise ValidationError("init_segments exceeds series length")
     gamma = np.zeros(n, dtype=bool)
     gamma[0] = True
-    if config.init_segments > 1:
-        gamma[_draw_flip_indices(rng, n, config.init_segments - 1)] = True
+    gamma[_draw_flip_indices(rng, n, config.init_segments - 1)] = True
     r = None
     if ctx.mode == MODE_SP:
         m = ctx.num_atoms
@@ -653,8 +645,7 @@ def _sample_initial(ctx: PosteriorContext, config: MHConfig,
             raise ValidationError("init_functions exceeds dictionary size")
         r = np.zeros(m, dtype=bool)
         r[0] = True
-        if config.init_functions > 1:
-            r[_draw_flip_indices(rng, m, config.init_functions - 1)] = True
+        r[_draw_flip_indices(rng, m, config.init_functions - 1)] = True
     return LatentState(gamma=gamma, r=r)
 
 

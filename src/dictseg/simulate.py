@@ -87,8 +87,6 @@ def simulate_series(n: int, sigma: float,
                     rng: np.random.Generator) -> tuple[TimeSeries, SeriesTruth]:
     if n < MIN_SIMULATED_N:
         raise ValidationError(f"need n >= {MIN_SIMULATED_N} to satisfy the layout constraints")
-    if sigma < 0:
-        raise ValidationError("sigma must be nonnegative")
     return make_series(n, _draw_change_points(n, rng), _draw_means(rng), sigma, rng)
 
 
@@ -96,6 +94,8 @@ def make_series(n: int, change_points, means, sigma: float,
                 rng: np.random.Generator | None = None,
                 noise: np.ndarray | None = None) -> tuple[TimeSeries, SeriesTruth]:
     """Simulated series with a fixed segmentation (no rejection step)."""
+    if not 0.0 <= sigma < np.inf:
+        raise ValidationError(f"sigma must be a finite number >= 0, got {sigma}")
     segmentation = Segmentation(change_points=tuple(change_points), means=tuple(means))
     f = disturbance(n)
     if noise is None:

@@ -58,6 +58,14 @@ class TestSimulate:
         assert "error (validation)" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("sigma", ["-1", "nan", "inf"])
+    def test_bad_sigma_is_a_validation_error(self, workspace, capsys, sigma):
+        out, truth = workspace / "series.csv", workspace / "truth.json"
+        assert main(["simulate", "--sigma", sigma, "--out", str(out),
+                     "--truth", str(truth)]) == 2
+        assert "error (validation): sigma must be a finite number" in capsys.readouterr().err
+        assert not out.exists() and not truth.exists()
+
 
 class TestFitAndMetrics:
     def test_full_pipeline(self, workspace, capsys):
@@ -430,6 +438,14 @@ class TestDict:
         assert "physical memory" in capsys.readouterr().err
         assert not (workspace / "d.csv").exists()
 
+    @pytest.mark.parametrize("n", ["-1", "0", "1"])
+    def test_series_shorter_than_two_is_rejected(self, workspace, capsys, n):
+        code = main(["dict", "--preset", "simulation_n100", "--n", n,
+                     "--out", str(workspace / "d.csv")])
+        assert code == 2
+        assert "error (validation)" in capsys.readouterr().err
+        assert not (workspace / "d.csv").exists()
+
     def test_unknown_preset(self, workspace, capsys):
         code = main(["dict", "--preset", "wavelets", "--n", "10",
                      "--out", str(workspace / "d.csv")])
@@ -469,10 +485,12 @@ class TestBench:
         assert "error (validation)" in capsys.readouterr().err
 
     @pytest.mark.parametrize("option", [["--replicates", "0"], ["--sigmas", "0.1,abc"],
-                                        ["--sigmas", "0.1,-1"], ["--methods", "sp,pp"],
+                                        ["--sigmas", "0.1,-1"], ["--sigmas", "inf"],
+                                        ["--sigmas", "0.1,nan"], ["--methods", "sp,pp"],
                                         ["--seed", "-3"], ["--n", "24"], ["--jobs", "-3"]],
-                             ids=["replicates", "sigmas", "negative-sigma", "methods",
-                                  "negative-seed", "short-series", "jobs"])
+                             ids=["replicates", "sigmas", "negative-sigma", "infinite-sigma",
+                                  "nan-sigma", "methods", "negative-seed", "short-series",
+                                  "jobs"])
     def test_bad_input_is_a_validation_error(self, workspace, capsys, option):
         code = main(["bench", "--sigmas", "0.1", "--replicates", "1",
                      "--config", str(workspace / "fast.cfg"), *option,

@@ -46,11 +46,15 @@ class TestRunConfig:
     def test_validation(self):
         with pytest.raises(ValidationError):
             RunConfig(burn_in=30000).validate()
-        nan = float("nan")
+        nan, inf = float("nan"), float("inf")
         for prior in ({"c1": -1}, {"c2": 0}, {"pi": 1.5}, {"eta": -0.1},
-                      {"c1": nan}, {"c2": nan}, {"pi": nan}, {"eta": nan}):
+                      {"c1": nan}, {"c2": nan}, {"pi": nan}, {"eta": nan},
+                      {"c1": inf}, {"c2": inf}):
             with pytest.raises(ValidationError):
                 RunConfig(**prior).validate()
+        for key in ("c1", "c2"):
+            with pytest.raises(ValidationError, match=f"{key} must be finite and positive"):
+                parse_config(f"{key} = inf\n")
         with pytest.raises(ValidationError):
             RunConfig(mode="both").validate()
 

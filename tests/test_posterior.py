@@ -561,3 +561,19 @@ class TestFlipScreen:
                     posterior.evaluate_stack(ctx, gidx[None], ridx[None])[0]):
                 self.check(ctx, state)
                 checked += 1
+
+    def test_state_without_factors_flags_every_change(self, monkeypatch):
+        def fail(_):
+            raise np.linalg.LinAlgError("not positive definite")
+
+        monkeypatch.setattr(np.linalg, "cholesky", fail)
+        ctx = chain_context(MODE_SP)
+        state = make_state([1, 13, 28], 40, [1, 2, 5], ctx.num_atoms)
+        screen = posterior.FlipScreen(ctx, np.flatnonzero(state.gamma), np.flatnonzero(state.r))
+        assert not screen.usable
+        none = np.array([], dtype=np.int64)
+        for gflips, rflips in ((np.arange(1, 40), np.arange(1, 6)), (np.array([13]), none),
+                               (none, np.array([2, 3])), (none, none)):
+            for flips, (delta, flagged) in zip((gflips, rflips), screen.changes(gflips, rflips)):
+                np.testing.assert_array_equal(delta, np.zeros(len(flips)))
+                np.testing.assert_array_equal(flagged, np.ones(len(flips), dtype=bool))

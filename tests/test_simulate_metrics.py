@@ -58,6 +58,14 @@ class TestSimulateSeries:
         with pytest.raises(ValidationError):
             simulate_series(20, 0.1, np.random.default_rng(0))
 
+    @pytest.mark.parametrize("sigma", [-0.5, float("nan"), float("inf")])
+    def test_sigma_must_be_finite_and_nonnegative(self, sigma):
+        with pytest.raises(ValidationError, match="sigma must be a finite number >= 0"):
+            simulate_series(100, sigma, np.random.default_rng(0))
+        with pytest.raises(ValidationError, match="sigma must be a finite number >= 0"):
+            make_series(100, (7, 18, 36), (2.0, 0.0, 2.0, 3.0), sigma,
+                        np.random.default_rng(0))
+
     def test_fixed_layout_helper(self):
         series, truth = make_series(100, (7, 18, 36), (2.0, 0.0, 2.0, 3.0), 0.0)
         assert truth.segmentation.change_points == (7, 18, 36)
