@@ -5,14 +5,15 @@ grid, the first one always the constant function (it plays the role of
 the pinned intercept, mirroring the always-selected first step
 position).  Each preset builds its matrix from the covariate, one array
 expression per atom family; arbitrary designs can be ingested from a
-delimited text file.  ``resolve_design`` maps a dictionary spec string
-to its design.
+delimited text file.  Point atoms, one nonzero entry each, are held as
+atom, row and amplitude rather than as columns.  ``resolve_design``
+maps a dictionary spec string to its design.
 """
 
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -36,37 +37,135 @@ def check_memory(nbytes, what: str) -> None:
             f"more than this machine's {memory / 2**30:.3g} GiB of physical memory")
 
 
+def _point_rows(F: np.ndarray):
+    """The columns of F with at most one entry other than +0.0, that
+    entry's row and its value (row 0 and value +0.0 for a zero column);
+    None when fewer than half the columns are point columns.  A -0.0
+    entry counts as an entry, and a column whose one entry is -0.0 is
+    not a point column, so each column reads back bit for bit."""
+    n, m = F.shape
+    counts = np.zeros(m, dtype=np.int64)
+    for i in range(0, n, 255):  # a uint8 count of 255 rows cannot overflow
+        counts += np.add.reduce((F[i:i + 255].view(np.uint64) != 0).view(np.uint8),
+                                axis=0, dtype=np.uint8)
+    cols = np.flatnonzero(counts <= 1)
+    if 2 * len(cols) < m:
+        return None
+    # a point column's sum and index-weighted sum are exactly F[t, a]
+    # and t·F[t, a] rounded once, every other term being zero
+    with np.errstate(over="ignore"):
+        values, moments = (np.stack((np.ones(n), np.arange(n, dtype=float))) @ F)[:, cols]
+    keep = (counts[cols] == 0) | (values != 0)
+    cols, values, moments = cols[keep], values[keep], moments[keep]
+    if 2 * len(cols) < m:
+        return None
+    rows = np.divide(moments, values, out=np.zeros(len(cols)), where=values != 0)
+    rows = np.clip(np.rint(rows), 0, n - 1).astype(np.intp)
+    if not np.array_equal(F[rows, cols], values):  # t·F[t, a] past the float range
+        return None
+    return cols, rows, F[rows, cols]
+
+
 @dataclass(frozen=True)
 class DesignMatrix:
-    """n x M atom evaluations; column 1 is all ones.  A label may not
-    hold a carriage return, which ``write_csv`` would leave unquoted."""
+    """n x M atom evaluations; column 1 is all ones.
 
-    matrix: np.ndarray
+    A point atom, amp·1[t = row], is held as its atom index, row and
+    amplitude; the other atoms are the columns of the n x M_d block
+    ``dense``, in atom order.  ``matrix`` and ``columns`` assemble
+    columns of F on request, zero (+0.0) off the point atoms' rows; no
+    n x M array is held.  A label may not hold a carriage return, which
+    ``write_csv`` would leave unquoted.
+    """
+
     labels: tuple[str, ...]
+    dense: np.ndarray
+    point_atoms: np.ndarray = field(default_factory=lambda: np.empty(0, dtype=np.intp))
+    point_rows: np.ndarray = field(default_factory=lambda: np.empty(0, dtype=np.intp))
+    point_amps: np.ndarray = field(default_factory=lambda: np.empty(0))
 
     def __post_init__(self):
-        F = np.asarray(self.matrix, dtype=float)
+        labels = tuple(self.labels)
+        dense = np.ascontiguousarray(self.dense, dtype=float)
+        atoms = np.asarray(self.point_atoms, dtype=np.intp)
+        rows = np.asarray(self.point_rows, dtype=np.intp)
+        amps = np.asarray(self.point_amps, dtype=float)
+        m = len(labels)
+        if dense.ndim != 2 or m == 0 or dense.shape[1] + len(atoms) != m:
+            raise ValidationError("one label per column required")
+        if not len(atoms) == len(rows) == len(amps):
+            raise ValidationError("one row and one amplitude per point atom required")
+        slot = np.full(m, m, dtype=np.intp)
+        if len(atoms):
+            if atoms.min() < 0 or atoms.max() >= m or rows.min() < 0 or rows.max() >= len(dense):
+                raise ValidationError("point atoms and rows must lie in the design")
+            slot[atoms] = -1 - np.arange(len(atoms))
+        dense_atoms = np.flatnonzero(slot == m)
+        if len(dense_atoms) != dense.shape[1]:
+            raise ValidationError("point atoms must be distinct")
+        slot[dense_atoms] = np.arange(len(dense_atoms))
+        if not (np.all(np.isfinite(dense)) and np.all(np.isfinite(amps))):
+            raise ValidationError("design matrix entries must be finite")
+        if "\r" in "".join(map(str, labels)):
+            raise ValidationError("atom labels may not hold a carriage return")
+        for name, value in (("labels", labels), ("dense", dense), ("point_atoms", atoms),
+                            ("point_rows", rows), ("point_amps", amps),
+                            ("dense_atoms", dense_atoms), ("_slot", slot)):
+            object.__setattr__(self, name, value)
+        if not np.allclose(self.columns([0])[:, 0], 1.0):
+            raise ValidationError("first design column must be all ones")
+
+    @classmethod
+    def from_matrix(cls, matrix, labels) -> DesignMatrix:
+        """The design of the n x M matrix F, its point columns (see
+        ``_point_rows``) held as point atoms when they are half of F's
+        columns or more."""
+        F = np.ascontiguousarray(matrix, dtype=float)
         if F.ndim != 2 or F.shape[1] == 0:
             raise ValidationError("design matrix must be 2-dimensional with a column or more")
         if not np.all(np.isfinite(F)):
             raise ValidationError("design matrix entries must be finite")
-        if not np.allclose(F[:, 0], 1.0):
-            raise ValidationError("first design column must be all ones")
-        labels = tuple(self.labels)
-        if len(labels) != F.shape[1]:
-            raise ValidationError("one label per column required")
-        if any("\r" in str(label) for label in labels):
-            raise ValidationError("atom labels may not hold a carriage return")
-        object.__setattr__(self, "matrix", F)
-        object.__setattr__(self, "labels", labels)
+        point = _point_rows(F)
+        if point is None:
+            return cls(labels=labels, dense=F)
+        atoms, rows, amps = point
+        keep = np.ones(F.shape[1], dtype=bool)
+        keep[atoms] = False
+        return cls(labels=labels, dense=F[:, keep], point_atoms=atoms, point_rows=rows,
+                   point_amps=amps)
 
     @property
     def n(self) -> int:
-        return self.matrix.shape[0]
+        return self.dense.shape[0]
 
     @property
     def num_atoms(self) -> int:
-        return self.matrix.shape[1]
+        return len(self.labels)
+
+    @property
+    def matrix(self) -> np.ndarray:
+        """The n x M matrix F, C-ordered: ``dense`` itself when there
+        are no point atoms, else built anew on each call."""
+        if not len(self.point_atoms):
+            return self.dense
+        check_memory(8.0 * self.n * self.num_atoms,
+                     f"the {self.n} x {self.num_atoms} design matrix needs 8·n·M")
+        F = np.zeros((self.n, self.num_atoms))
+        F[:, self.dense_atoms] = self.dense
+        F[self.point_rows, self.point_atoms] = self.point_amps
+        return F
+
+    def columns(self, atoms) -> np.ndarray:
+        """F[:, atoms] for 0-based atom indices, laid out as numpy lays
+        out that index of a C-ordered F: a new Fortran-ordered array."""
+        slot = self._slot.take(np.asarray(atoms, dtype=np.intp))
+        out = np.zeros((len(slot), self.n)).T
+        for j, s in enumerate(slot.tolist()):  # column by column: no second n x k array
+            if s >= 0:
+                out[:, j] = self.dense[:, s]
+            else:
+                out[self.point_rows[-1 - s], j] = self.point_amps[-1 - s]
+        return out
 
 
 def _covariate(covariate) -> np.ndarray:
@@ -120,21 +219,40 @@ def simulation_design(covariate, family: str = "haar128") -> DesignMatrix:
     else:
         raise ValidationError(f"unknown simulation family {family!r}")
     labels = ("constant term", *local, *_fourier_labels(n), "t", "t^2")
-    F = np.empty((n, len(labels)))
-    F[:, 0] = 1.0
-    # the localized block is built in place; its only temporaries are
-    # boolean masks of its size, so set-up never holds two float matrices
-    block = F[:, 1:len(local) + 1]
     if family == "haar128":
+        # the block is built in place; its only temporaries are boolean
+        # masks of its size, so set-up never holds two float matrices
+        F = np.empty((n, len(labels)))
+        block = F[:, 1:len(local) + 1]
         np.subtract((2.0 ** 7 * x / n)[:, None], np.arange(128), out=block)
         np.multiply((block >= 0.0) & (block <= 1.0), 2.0 ** 3.5, out=block)
-    else:
-        np.subtract(x[:, None], np.arange(1, n + 1), out=block)
-        block[...] = np.abs(block, out=block) <= 1e-9
-    _fill_fourier(F[:, -22:-2], x, np.arange(1, 11) / n)
+        _fill_smooth(F, x)
+        return DesignMatrix(labels=labels, dense=F)
+    dense = np.empty((n, 23))
+    _fill_smooth(dense, x)
+    # atom t is 1 where |x - t| <= 1e-9, a test only the integer nearest
+    # x can pass, so each row is in at most one atom
+    nearest = np.rint(x)
+    rows = np.flatnonzero((np.abs(x - nearest) <= 1e-9) & (nearest >= 1) & (nearest <= n))
+    atoms = nearest[rows].astype(np.intp)
+    if np.bincount(atoms, minlength=n + 1).max(initial=0) > 1:  # two rows in one atom
+        F = np.zeros((n, len(labels)))
+        F[:, np.r_[0, n + 1:n + 23]] = dense
+        F[rows, atoms] = 1.0
+        return DesignMatrix.from_matrix(F, labels)
+    point_rows, point_amps = np.zeros(n, dtype=np.intp), np.zeros(n)
+    point_rows[atoms - 1], point_amps[atoms - 1] = rows, 1.0
+    return DesignMatrix(labels=labels, dense=dense, point_atoms=np.arange(1, n + 1),
+                        point_rows=point_rows, point_amps=point_amps)
+
+
+def _fill_smooth(F: np.ndarray, x: np.ndarray) -> None:
+    """The constant into the first column of F, and the 10 Fourier pairs
+    of frequency j/n, t and t^2 into its last 22."""
+    F[:, 0] = 1.0
+    _fill_fourier(F[:, -22:-2], x, np.arange(1, 11) / x.size)
     F[:, -2] = x ** 1
     F[:, -1] = x ** 2
-    return DesignMatrix(matrix=F, labels=labels)
 
 
 def exchange_design(covariate) -> DesignMatrix:
@@ -146,7 +264,7 @@ def exchange_design(covariate) -> DesignMatrix:
     F[:, 1] = x ** 1
     F[:, 2] = x ** 2
     _fill_fourier(F[:, 3:], x, np.arange(1, 11) / n)
-    return DesignMatrix(matrix=F, labels=("constant term", "t", "t^2", *_fourier_labels(n)))
+    return DesignMatrix(labels=("constant term", "t", "t^2", *_fourier_labels(n)), dense=F)
 
 
 def fourier_design(covariate, floor: float) -> DesignMatrix:
@@ -178,7 +296,7 @@ def fourier_design(covariate, floor: float) -> DesignMatrix:
     F = np.empty((x.size, len(labels)))
     F[:, 0] = 1.0
     _fill_fourier(F[:, 1:], x, np.arange(1, count + 1) / span)
-    return DesignMatrix(matrix=F, labels=labels)
+    return DesignMatrix(labels=labels, dense=F)
 
 
 def load_design_matrix(path) -> DesignMatrix:
@@ -209,7 +327,7 @@ def load_design_matrix(path) -> DesignMatrix:
     if not np.allclose(first, first[0]) or first[0] == 0.0:
         raise DataError(f"{path}: first column must be a nonzero constant")
     F[:, 0] = 1.0
-    return DesignMatrix(matrix=F, labels=labels)
+    return DesignMatrix.from_matrix(F, labels)
 
 
 def resolve_design(spec: str, series: TimeSeries) -> tuple[DesignMatrix, tuple[str, ...]]:

@@ -119,8 +119,8 @@ class GibbsSampler:
         self.gram = (ctx.n + 1 - np.maximum.outer(self.positions, self.positions)).astype(float)
         if ctx.mode == MODE_SP:
             self.r_idx = np.flatnonzero(selection.r)
-            self.f_sel = ctx.design.matrix[:, self.r_idx]
-            self.frfr = ctx.ftf[np.ix_(self.r_idx, self.r_idx)]
+            self.f_sel = ctx.design.columns(self.r_idx)
+            self.frfr = ctx.gram(self.r_idx[:, None], self.r_idx)
 
     def sigma2_b(self, beta: np.ndarray, lam: np.ndarray | None) -> float:
         jumps = np.zeros(self.ctx.n)
@@ -198,7 +198,7 @@ def run_gibbs(ctx: PosteriorContext, selection: LatentState, config: GibbsConfig
         beta_hat[0] += lambda_hat[0]
         means = mu + lambda_hat[0]
         lambda_hat[0] = 0.0
-        f_hat = ctx.design.matrix[:, r_idx] @ lambda_hat
+        f_hat = ctx.design.columns(r_idx) @ lambda_hat
 
     positions = tuple(int(p) for p in positions)
     atoms = tuple(int(a) for a in r_idx + 1) if sp else None

@@ -81,7 +81,10 @@ The trace holds ``evaluate_stack``'s own values: a screened accept's
 state waits in ``pending`` for a later pass's ``_score`` call, which
 by stack invariance gives the value a stack of one would.  A pass
 makes that call, even when the screen vouches for all its proposals,
-once MAX_BLOCK states wait.
+once MAX_BLOCK states wait.  An accept that undoes the accept before
+it (the same target and index) returns to the state that accept left,
+so it takes back that state's screen, if one was built, instead of
+factoring the state again: a screen depends on its state alone.
 
 GUARD = 1e-6 nats is four orders above the largest difference measured
 between a screened change and ``evaluate_stack``'s: 1.2e-10 nats over
@@ -114,8 +117,9 @@ was clear.  Traces also count the -inf proposals per target, the
 evaluator calls after the initial state (``evaluate_stack`` and
 ``FlipScreen.changes`` calls alike), the rows those calls scored
 (proposals and pending states), the proposals decoded, including
-those discarded at a rewind, and the screened proposals sent on to
-``evaluate_stack``, whether or not the walk reaches them.
+those discarded at a rewind, the screened proposals sent on to
+``evaluate_stack``, whether or not the walk reaches them, and the
+screens built.
 """
 
 from __future__ import annotations
@@ -502,7 +506,8 @@ class MHTrace:
 
     def __init__(self, initial_gamma, initial_r, initial_log_density, which, accepted,
                  log_density, flip_offsets, flip_indices, neg_inf=(0, 0),
-                 evaluator_calls=0, candidates_evaluated=0, proposals_drawn=0, rescored=0):
+                 evaluator_calls=0, candidates_evaluated=0, proposals_drawn=0, rescored=0,
+                 screens_built=0):
         self.initial_gamma = initial_gamma
         self.initial_r = initial_r
         self.initial_log_density = initial_log_density
@@ -515,14 +520,15 @@ class MHTrace:
         # of the block kernel after the initial state: its evaluate_stack
         # and FlipScreen.changes calls, the proposals and pending states
         # they scored, the proposals it decoded, counting those discarded
-        # at a rewind, and the screened proposals that a flag or the guard
-        # band sent on to evaluate_stack; none of them enters the
-        # exported files
+        # at a rewind, the screened proposals that a flag or the guard
+        # band sent on to evaluate_stack, and the FlipScreens built; none
+        # of them enters the exported files
         self.neg_inf = tuple(neg_inf)
         self.evaluator_calls = evaluator_calls
         self.candidates_evaluated = candidates_evaluated
         self.proposals_drawn = proposals_drawn
         self.rescored = rescored
+        self.screens_built = screens_built
 
     def __len__(self) -> int:
         return len(self.accepted)
@@ -683,9 +689,12 @@ def run_metropolis_hastings(ctx: PosteriorContext, config: MHConfig) -> MHTrace:
     accepted = np.zeros(total, dtype=bool)
     flipped: list[int] = []
     neg_inf = [0, 0]
-    events = calls = scored = drawn = rescored = visits = 0
+    events = calls = scored = drawn = rescored = visits = built = 0
     pending: dict[int, tuple[np.ndarray, np.ndarray | None]] = {}
-    screen = None
+    # the current state's screen, and the screen of the state the last
+    # accept left with that accept's flip, which an accept of the same
+    # flip returns to
+    screen = left = last_flip = None
 
     t = first = size = 0  # proposals first..size-1 of the block are not walked yet
     while t < total:
@@ -700,7 +709,7 @@ def run_metropolis_hastings(ctx: PosteriorContext, config: MHConfig) -> MHTrace:
         changes, ask, rows = None, range(size - first), slice(first, size)
         if screened and len(gidx) * (len(ridx) + 1) ** 2 >= SCREEN_MIN_WORK:
             if screen is None:
-                screen = FlipScreen(ctx, gidx, ridx)
+                screen, built = FlipScreen(ctx, gidx, ridx), built + 1
             changes, ask = _screen(screen, on_gamma[first:], flips_g[first:, 0],
                                    flips_r[first:, 0], uniforms[first:])
             values, rows = [None] * len(changes), first + ask
@@ -744,13 +753,15 @@ def run_metropolis_hastings(ctx: PosteriorContext, config: MHConfig) -> MHTrace:
             else:
                 row = flips_r[j:j + 1]
                 ridx = _flip(ridx, row, m)[0]
-            flipped += sorted(row[0].tolist())
+            flip = (target, *sorted(row[0].tolist()))
+            flipped += flip[1:]
             visits += 1
             if values[k] is None:
                 pending[visits] = (gidx, ridx)
             else:
                 densities[visits] = values[k]
-            screen = None
+            screen, left = (left if flip == last_flip else None), screen
+            last_flip = flip
             break
 
     if pending:
@@ -765,7 +776,7 @@ def run_metropolis_hastings(ctx: PosteriorContext, config: MHConfig) -> MHTrace:
         flip_offsets=np.concatenate(([0], np.cumsum(counts))),
         flip_indices=np.array(flipped, dtype=np.int32),
         neg_inf=neg_inf, evaluator_calls=calls, candidates_evaluated=scored,
-        proposals_drawn=drawn, rescored=rescored,
+        proposals_drawn=drawn, rescored=rescored, screens_built=built,
     )
 
 

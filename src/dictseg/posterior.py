@@ -158,60 +158,11 @@ class LatentState:
         return np.flatnonzero(self.r) + 1
 
 
-# Below this many multiply-adds in F'F (n·M²), _fill_gram takes the full
-# product without looking for point columns.  On point100 designs the
-# two ways cost the same near n·M² = 5e6, and below 2^24 the split saves
-# under 0.1 ms, while a design without point columns pays for the look.
+# Below this many multiply-adds in F'F (n·M²), the context holds the
+# full tables of every atom, even point atoms: they cost little to build
+# there, while the closed form's gathers add about 37 µs to each
+# evaluate_stack call (141 against 178 µs at sim100 sizes, n = 100).
 SPLIT_MIN_WORK = 1 << 24
-# rows of F gathered at a time to fill the rows of point columns
-_ROW_CHUNK = 256
-
-
-def _point_rows(F: np.ndarray):
-    """The columns of F with at most one nonzero entry, that entry's row
-    and its value (row 0 and value 0 for a zero column); None when
-    fewer than half the columns are point columns."""
-    n, m = F.shape
-    counts = np.zeros(m, dtype=np.int64)
-    for i in range(0, n, 255):  # a uint8 count of 255 rows cannot overflow
-        counts += np.add.reduce((F[i:i + 255] != 0).view(np.uint8), axis=0, dtype=np.uint8)
-    cols = np.flatnonzero(counts <= 1)
-    if 2 * len(cols) < m:
-        return None
-    # a point column's sum and index-weighted sum are exactly F[t, a]
-    # and t·F[t, a] rounded once, every other term being zero
-    values, moments = (np.stack((np.ones(n), np.arange(n, dtype=float))) @ F)[:, cols]
-    rows = np.divide(moments, values, out=np.zeros(len(cols)), where=values != 0)
-    rows = np.clip(np.rint(rows), 0, n - 1).astype(np.intp)
-    if not np.array_equal(F[rows, cols], values):  # t·F[t, a] past the float range
-        return None
-    return cols, rows, values
-
-
-def _fill_gram(F: np.ndarray, out: np.ndarray) -> None:
-    """out = F'F.
-
-    A point column a, nonzero at most in row t, has F[t, a]·F[t, :] as
-    its row of F'F: the one nonzero term of each of the full product's
-    sums, so the same bits.  When at least half the columns are point
-    columns, the others take one product among themselves; otherwise,
-    and for designs too small to repay the search, the full product.
-    """
-    n, m = F.shape
-    point = _point_rows(F) if n * m * m >= SPLIT_MIN_WORK else None
-    if point is None:
-        np.matmul(F.T, F, out=out)
-        return
-    cols, rows, values = point
-    dense = np.setdiff1d(np.arange(m), cols, assume_unique=True)
-    Fd = F[:, dense]
-    out[np.ix_(dense, dense)] = Fd.T @ Fd
-    for i in range(0, len(cols), _ROW_CHUNK):
-        block = F[rows[i:i + _ROW_CHUNK]]
-        block *= values[i:i + _ROW_CHUNK, None]
-        block += 0.0  # a zero product reads +0, as in the full product's sums
-        out[cols[i:i + _ROW_CHUNK]] = block
-    out[np.ix_(dense, cols)] = out[np.ix_(cols, dense)].T
 
 
 def _total(x: np.ndarray) -> np.ndarray:
@@ -256,12 +207,23 @@ class _IndexPrior:
 class PosteriorContext:
     """Immutable per-series cache shared by every posterior evaluation.
 
-    Holds Y'Y, F'F, F'Y plus the suffix sums of Y and of each design
-    column; products against the step matrix then reduce to gathers.
-    With M atoms, index M stands for a padded atom and index M + 1 for
-    Y: ``_gram`` is [[F'F, 0, F'Y], [0, 0, 0], [Y'F, 0, Y'Y]] and row i
-    of ``_suffix`` holds the sums over rows i.. of [F, 0, Y], with a
-    zero row n for the sum past the end.
+    Serves Y'Y, F'F, F'Y and the suffix sums of Y and of each design
+    column through ``ends`` and ``gram``; products against the step
+    matrix then reduce to gathers.  With M atoms, index M stands for a
+    padded atom and index M + 1 for Y: ``gram`` reads
+    [[F'F, 0, F'Y], [0, 0, 0], [Y'F, 0, Y'Y]] and row i of ``ends`` the
+    sums over rows i.. of [F, 0, Y], with a zero row n past the end.
+
+    Held are the tables of [F_d, 0, Y], F_d the dense atoms: ``_suffix``
+    (n + 1, M_d + 2) and ``_gram`` (M + 2, M_d + 2), row a of which is
+    F'F and F'Y of index a against the dense atoms and Y.  In a small
+    design, or one whose point atoms are fewer than half its atoms,
+    every atom is dense: F is assembled once and the tables are the full
+    ones.  Otherwise a point atom amp·1[t = t_a] has the closed forms
+    suffix amp at rows i <= t_a and +0.0 past them, F'F row
+    amp·F[t_a, :] and F'Y amp·y[t_a], which are the full tables' bits:
+    each of their sums has one nonzero term.  No n x M or M x M array
+    is then held.
     """
 
     def __init__(self, series: TimeSeries, hyper: Hyperparameters,
@@ -285,7 +247,11 @@ class PosteriorContext:
         self.log1p_c1 = float(np.log1p(hyper.c1))
         # the log prior with the -(d_g/2)·log(1+c1) term folded in
         self._weight_gamma = _IndexPrior(hyper.pi, 0.5 * self.log1p_c1)
+        # row of each index's point (-1 for the others), its amplitude and
+        # its column in [F_d, 0, Y]; None when every atom is dense
+        self._loc = self._amp = self._dcol = None
         m = 0
+        F = np.empty((n, 0))
         if mode == MODE_SP:
             if design is None:
                 raise ValidationError("sp mode requires a design matrix")
@@ -296,15 +262,26 @@ class PosteriorContext:
             if len(hyper.eta) != design.num_atoms:
                 raise ValidationError("eta length must match atom count")
             m = design.num_atoms
-            # F is held already; the caches come on top of it
-            check_memory(8 * (m * m + 2 * n * m),
-                         f"the {m} design columns, F'F and their suffix sums need about "
-                         f"8·(M² + 2·n·M)")
-            F = design.matrix
-            self._gram = np.zeros((m + 2, m + 2))
-            _fill_gram(F, self._gram[:m, :m])
-            self._gram[:m, m + 1] = self._gram[m + 1, :m] = F.T @ y
-            self._gram[m + 1, m + 1] = self.yty
+            points = len(design.point_atoms)
+            if n * m * m >= SPLIT_MIN_WORK and 2 * points >= m:
+                F = design.dense
+                md = m - points
+                # the dense block, its suffix sums, the rows of every atom
+                # against it and the point atoms' rows of F_d being built
+                check_memory(8 * (md + 2) * (2 * n + 2 * m),
+                             f"the {md} dense design columns, their suffix sums and their "
+                             f"products with all {m} need about 8·(M_d + 2)·(2·n + 2·M)")
+                self._closed_form(design, y)
+            else:
+                # F, held by the design or assembled here, and both tables
+                check_memory(8 * (m * m + 2 * n * m),
+                             f"the {m} design columns, F'F and their suffix sums need about "
+                             f"8·(M² + 2·n·M)")
+                F = design.matrix
+                self._gram = np.zeros((m + 2, m + 2))
+                np.matmul(F.T, F, out=self._gram[:m, :m])
+                self._gram[:m, m + 1] = self._gram[m + 1, :m] = F.T @ y
+                self._gram[m + 1, m + 1] = self.yty
             self.log_c2 = float(np.log(hyper.c2))
             self.c2_inv = 1.0 / hyper.c2
             self._weight_r = _IndexPrior(hyper.eta, 0.5 * self.log_c2)
@@ -312,17 +289,61 @@ class PosteriorContext:
             self._scale = np.full(m + 2, 1.0 + self.c2_inv)
             self._scale[m:] = 1.0
         self.num_atoms = m
-        self._suffix = np.zeros((n + 1, m + 2))
-        if m:
+        md = F.shape[1]
+        self._width = md + 2
+        self._suffix = np.zeros((n + 1, md + 2))
+        if md:
             # copied first, then summed in place: the same sums, and
             # faster than reading F backwards into the table
-            self._suffix[:n, :m] = F
-            np.cumsum(self._suffix[n - 1::-1, :m], axis=0, out=self._suffix[n - 1::-1, :m])
-        np.cumsum(y[::-1], out=self._suffix[n - 1::-1, m + 1])
+            self._suffix[:n, :md] = F
+            np.cumsum(self._suffix[n - 1::-1, :md], axis=0, out=self._suffix[n - 1::-1, :md])
+        np.cumsum(y[::-1], out=self._suffix[n - 1::-1, md + 1])
 
-    @property
-    def ftf(self) -> np.ndarray:
-        return self._gram[:self.num_atoms, :self.num_atoms]
+    def _closed_form(self, design: DesignMatrix, y: np.ndarray) -> None:
+        """``_gram`` and the point atoms' rows, amplitudes and columns."""
+        m, dense, Fd = design.num_atoms, design.dense_atoms, design.dense
+        md = len(dense)
+        atoms, rows, amps = design.point_atoms, design.point_rows, design.point_amps
+        self._gram = np.zeros((m + 2, md + 2))
+        self._gram[dense, :md] = Fd.T @ Fd
+        self._gram[dense, md + 1] = self._gram[m + 1, :md] = Fd.T @ y
+        self._gram[m + 1, md + 1] = self.yty
+        # a zero product reads +0, as in the full product's sums
+        rows_f = Fd.take(rows, axis=0)
+        rows_f *= amps[:, None]
+        rows_f += 0.0
+        self._gram[atoms, :md] = rows_f
+        self._gram[atoms, md + 1] = amps * y[rows] + 0.0
+        self._loc = np.full(m + 2, -1)
+        self._loc[atoms] = rows
+        self._amp = np.zeros(m + 2)
+        self._amp[atoms] = amps
+        self._dcol = np.full(m + 2, md)
+        self._dcol[dense] = np.arange(md)
+        self._dcol[m + 1] = md + 1
+
+    def ends(self, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+        """Suffix sums of [F, 0, Y] at rows ``rows`` (0..n) of the
+        indices ``cols`` (0..M + 1), the two broadcast together."""
+        if self._loc is None:
+            return self._suffix.ravel().take(rows * self._width + cols)
+        out = self._suffix.ravel().take(rows * self._width + self._dcol.take(cols))
+        np.copyto(out, self._amp.take(cols), where=rows <= self._loc.take(cols))
+        return out
+
+    def gram(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        """Entries [a, b] of [[F'F, 0, F'Y], [0, 0, 0], [Y'F, 0, Y'Y]],
+        a and b broadcast together."""
+        if self._loc is None:
+            return self._gram.ravel().take(a * self._width + b)
+        loc_b = self._loc.take(b)
+        swap = loc_b >= 0  # b is a point atom: read b's row at a's column
+        out = self._gram.ravel().take(np.where(swap, b, a) * self._width
+                                      + self._dcol.take(np.where(swap, a, b)))
+        # two point atoms share a row only with each other's amplitude
+        np.copyto(out, self._amp.take(a) * self._amp.take(b) + 0.0,
+                  where=swap & (self._loc.take(a) == loc_b))
+        return out
 
     def log_prior_gamma(self, gamma: np.ndarray) -> float:
         """Log prior of one gamma vector whose first bit is set."""
@@ -421,13 +442,11 @@ def _segment_algebra(ctx, gidx, ridx=None):
       one elimination gives the pivots of both A and Fr'Fr.
     """
     n, m = ctx.n, ctx.num_atoms
-    width = m + 2
     bounds = _with_row(gidx, n)
     inv_len = ctx._inverse.take(bounds[1:] - bounds[:-1])
-    table = ctx._suffix.ravel()
 
     if ctx.mode == MODE_P:
-        ends = table.take(bounds * width + (m + 1))
+        ends = ctx.ends(bounds, m + 1)
         seg_y = ends[:-1] - ends[1:]
         return inv_len, seg_y, ctx.yty - ctx.shrink * _total(seg_y * seg_y * inv_len)
 
@@ -437,7 +456,7 @@ def _segment_algebra(ctx, gidx, ridx=None):
 
     # segment sums S of the columns; the sum over segments of S S'/L is
     # [[W, u], [u', y'Py]] with W = Fr'Xg(Xg'Xg)^{-1}Xg'Fr
-    ends = table.take(bounds[:, None] * width + cols)
+    ends = ctx.ends(bounds[:, None], cols)
     seg = ends[:-1] - ends[1:]
     weighted = seg * inv_len[:, None]
     # a loop: accumulating the whole 4-d product gives these bits several times slower
@@ -447,7 +466,7 @@ def _segment_algebra(ctx, gidx, ridx=None):
 
     # [[Fr'Fr, Fr'Y], [Y'Fr, Y'Y]], identity on padded atoms; the
     # bordered [[A, v], [v', Y'Uinv Y]] then has q as its last pivot
-    gram = ctx._gram.ravel().take(cols[:, None] * width + cols)
+    gram = ctx.gram(cols[:, None], cols)
     _diagonal(gram)[:dr][cols[:-1] == m] = 1.0
     stack = np.concatenate((gram, gram), axis=2)
     mat = stack[:, :, :len(gidx)]
@@ -507,16 +526,15 @@ class FlipScreen:
     def __init__(self, ctx: PosteriorContext, gidx: np.ndarray, ridx: np.ndarray):
         self.ctx = ctx
         n, m = ctx.n, ctx.num_atoms
-        self.width = width = m + 2
         self.bounds = bounds = np.append(gidx, n)
         self.cols = cols = np.append(ridx, m + 1)
         self.dr = dr = len(ridx)
-        self.ends = ctx._suffix.ravel().take(bounds[:, None] * width + cols)
+        self.ends = ctx.ends(bounds[:, None], cols)
         self.seg = self.ends[:-1] - self.ends[1:]
         self.inv_len = ctx._inverse.take(bounds[1:] - bounds[:-1])
         # B, then Fr'Fr bordered by an identity row, factored together
         mats = np.empty((2, dr + 1, dr + 1))
-        mats[:] = ctx._gram.ravel().take(cols[:, None] * width + cols)
+        mats[:] = ctx.gram(cols[:, None], cols)
         self.norms = np.diagonal(mats[1])[:dr].copy()
         mats[1, dr], mats[1, :, dr], mats[1, dr, dr] = 0.0, 0.0, 1.0
         mats[0, :dr, :dr] *= 1.0 + ctx.c2_inv
@@ -561,7 +579,7 @@ class FlipScreen:
         merge = bounds.take(k) == j
         lo = k - merge
         hi = k + 1
-        mid = ctx._suffix.ravel().take(j[:, None] * self.width + self.cols)
+        mid = ctx.ends(j[:, None], self.cols)
         len1 = j - bounds.take(lo)
         len2 = bounds.take(hi) - j
         d = ((self.ends[lo] - mid) * ctx._inverse.take(len1)[:, None]
@@ -596,11 +614,11 @@ class FlipScreen:
         new = a[~out]
         if not new.size:
             return delta, flagged
-        ends = ctx._suffix.ravel().take(self.bounds[:, None] * self.width + new)
+        ends = ctx.ends(self.bounds[:, None], new)
         seg = ends[:-1] - ends[1:]
         weighted = seg * self.inv_len[:, None]
-        gram = ctx._gram.ravel().take(new[:, None] * self.width + self.cols)
-        norm = ctx._gram.ravel().take(new * (self.width + 1))
+        gram = ctx.gram(new[:, None], self.cols)
+        norm = ctx.gram(new, new)
         col = gram * ctx._scale.take(self.cols) - ctx.shrink * (weighted.T @ self.seg)
         diag = (1.0 + ctx.c2_inv) * norm - ctx.shrink * (seg * weighted).sum(axis=0)
         z = col @ self.inv.T

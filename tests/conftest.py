@@ -50,7 +50,7 @@ def design_of(x, *columns):
     """Design of the constant column followed by ``columns``, each one
     atom evaluated on the covariate ``x``."""
     labels = ("constant term", *(f"atom {j}" for j in range(2, len(columns) + 2)))
-    return DesignMatrix(matrix=np.column_stack([np.ones_like(x), *columns]), labels=labels)
+    return DesignMatrix.from_matrix(np.column_stack([np.ones_like(x), *columns]), labels)
 
 
 def indicator(x, location):

@@ -377,6 +377,23 @@ SINGLE_FLIP_DIGESTS = {
 }
 
 
+# sha256 of every file of a seeded point100 fit of a simulated n = 2000
+# series at the wide-point benchmark's chain lengths, a design large
+# enough for the context to hold its point atoms in closed form; the
+# selection holds two point atoms, so the estimates read them too
+POINT_FIT_CFG = "iterations = 600\nburn_in = 150\ngibbs_iterations = 3000\ngibbs_burn_in = 750\n"
+POINT_FIT_DIGESTS = {
+    "selection.json": "0c7593a17a8d836ae182cdf00d23e246c8d763fda41ffac9d3cfd7d1410bb584",
+    "inclusion.csv": "1083e9752cff4cdd8a458a1d921afe751122b4b9e36f5b29654cbfb86918439c",
+    "mh_trace.csv": "fccc763eedffd27c2920be56e6c000d229f70b80c5142fd1bed1fc2f51a259db",
+    "summary.json": "16ebff08b29f632162a28774bde8d401fdb02ffcd148daff9e688ac3d52b3b44",
+    "reconstruction.csv": "f6fa8a9fba68d21451d20b1c19256f090d5873e8f2e85148b0699293b5f6d29f",
+    "gibbs_draws.csv": "91f996bc1885dc49542d5e2f5ff94296fcb401855fb8467bd28d4da5e24a1374",
+}
+# sha256 of ``dictseg dict --preset simulation_n100:point100 --n 100``
+POINT_DICT_DIGEST = "78e618991434b529e0f9d16813f40a9c792ca85584ff72ece7f06f702bbb6293"
+
+
 class TestDeterminismPin:
     @pytest.fixture(scope="class", params=["sp", "p"])
     def fit(self, request, tmp_path_factory):
@@ -412,6 +429,21 @@ class TestDeterminismPin:
         assert main(["fit", "--input", str(series), "--out-dir", str(tmp_path / "fit"),
                      "--mode", "sp", "--seed", "7", "--save-trace", "--config", str(cfg)]) == 0
         assert self.digests(tmp_path / "fit", SINGLE_FLIP_DIGESTS) == SINGLE_FLIP_DIGESTS
+
+    def test_point_design_files_keep_their_digests(self, tmp_path):
+        series, cfg = tmp_path / "series.csv", tmp_path / "wide.cfg"
+        cfg.write_text(POINT_FIT_CFG)
+        assert main(["simulate", "--n", "2000", "--sigma", "0.5", "--seed", "3",
+                     "--out", str(series)]) == 0
+        out_dir = tmp_path / "fit"
+        assert main(["fit", "--input", str(series), "--out-dir", str(out_dir),
+                     "--dictionary", "simulation_n100:point100", "--seed", "7",
+                     "--save-trace", "--save-draws", "--config", str(cfg)]) == 0
+        assert sorted(p.name for p in out_dir.iterdir()) == sorted(POINT_FIT_DIGESTS)
+        assert self.digests(out_dir, POINT_FIT_DIGESTS) == POINT_FIT_DIGESTS
+        assert main(["dict", "--preset", "simulation_n100:point100", "--n", "100",
+                     "--out", str(tmp_path / "design.csv")]) == 0
+        assert self.digests(tmp_path, ["design.csv"]) == {"design.csv": POINT_DICT_DIGEST}
 
 
 class TestDict:

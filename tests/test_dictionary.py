@@ -3,6 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from dictseg import dictionary
 from dictseg import (
     DataError,
     DesignMatrix,
@@ -61,14 +62,14 @@ class TestPresetSizes:
 
     def test_custom_list_must_start_with_constant(self):
         with pytest.raises(ValidationError):
-            DesignMatrix(matrix=T_GRID[:, None], labels=("t",))
+            DesignMatrix.from_matrix(T_GRID[:, None], ("t",))
         with pytest.raises(ValidationError):
-            DesignMatrix(matrix=np.empty((100, 0)), labels=())
+            DesignMatrix.from_matrix(np.empty((100, 0)), ())
 
     def test_label_with_carriage_return_is_rejected(self):
         F = np.column_stack([np.ones(100), T_GRID])
         with pytest.raises(ValidationError, match="carriage return"):
-            DesignMatrix(matrix=F, labels=("constant term", "t\r"))
+            DesignMatrix.from_matrix(F, ("constant term", "t\r"))
 
 
 class TestEvaluation:
@@ -141,10 +142,23 @@ class TestEvaluation:
             design = fourier_design(x, floor=8.0)
         assert design.matrix.tobytes() == np.column_stack(expected).tobytes()
 
-    def test_point_family_holds_one_mask_next_to_the_matrix(self):
-        # the n x n indicator block is built in place: set-up peaks at the
-        # final matrix plus one boolean mask of its size, not at two
-        # matrices; the slack covers the labels and the ufuncs' buffers
+    def test_point_family_keeps_an_atom_on_two_rows_dense(self):
+        # two rows at t = 3 give atom 3 two entries: it is no point atom,
+        # and every column still equals its atom's formula
+        x = np.arange(1.0, 41.0)
+        x[3] = 3.0
+        n = x.size
+        local = [np.where(np.abs(x - float(t)) <= 1e-9, 1.0, 0.0) for t in range(1, n + 1)]
+        pairs = [wave(2.0 * np.pi * (j / n) * x) for j in range(1, 11) for wave in (np.sin, np.cos)]
+        expected = np.column_stack([np.ones_like(x), *local, *pairs, x ** 1, x ** 2])
+        design = simulation_design(x, "point100")
+        assert 3 not in design.point_atoms and len(design.point_atoms) == n - 1
+        assert design.matrix.tobytes() == expected.tobytes()
+
+    def test_point_family_holds_no_n_by_m_array(self):
+        # the point atoms are held as (atom, row, amplitude): set-up peaks
+        # at the dense block of the 23 other atoms, the point arrays and
+        # the labels, not at an n x n indicator block
         n = 600
         x = np.arange(1.0, n + 1.0)
         tracemalloc.start()
@@ -153,7 +167,33 @@ class TestEvaluation:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak <= design.matrix.nbytes + design.matrix.size + 256 * 1024
+        assert design.dense.shape == (n, 23)
+        assert np.array_equal(design.point_atoms, np.arange(1, n + 1))
+        assert peak <= 2 * design.dense.nbytes + 24 * n + 256 * 1024 < 8 * n * n
+
+    def test_matrix_past_physical_memory_is_refused(self, monkeypatch):
+        design = simulation_design(T_GRID, "point100")
+        monkeypatch.setattr(dictionary, "_physical_memory", lambda: 8 * 100 * 123 - 1)
+        with pytest.raises(ValidationError, match="physical memory"):
+            design.matrix
+        assert design.columns([0, 5]).shape == (100, 2)
+
+    def test_matrix_reads_back_bit_for_bit(self):
+        # a -0.0 entry is an entry: no column that holds one is a point
+        # column, so every column of F comes back with its zeros' signs
+        F = np.zeros((50, 30))
+        F[:, 0] = 1.0
+        F[np.arange(3, 28), np.arange(1, 26)] = np.linspace(-2.0, 2.0, 25)
+        F[40, 26] = -0.0
+        F[[5, 9], 27] = [-0.0, 3.0]
+        F[:, 28:] = np.random.default_rng(2).normal(size=(50, 2))
+        design = DesignMatrix.from_matrix(F, tuple(f"a{j}" for j in range(30)))
+        assert 26 not in design.point_atoms and 27 not in design.point_atoms
+        assert len(design.point_atoms) == 25
+        assert design.matrix.tobytes() == F.tobytes()
+        atoms = [27, 3, 0, 26, 12]
+        assert design.columns(atoms).tobytes() == F[:, atoms].tobytes()
+        assert design.columns(atoms).strides == F[:, atoms].strides
 
 
 class TestLabels:

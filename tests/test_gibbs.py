@@ -225,7 +225,7 @@ class TestRunGibbs:
             F = rng.normal(size=(n, m))
             F[:, 0] = 1.0
             F[:, 4] = F[:, 2] + F[:, 3]
-            design = DesignMatrix(matrix=F, labels=tuple(f"a{j}" for j in range(m)))
+            design = DesignMatrix.from_matrix(F, tuple(f"a{j}" for j in range(m)))
             ctx = PosteriorContext(TimeSeries(values=rng.normal(size=n)),
                                    Hyperparameters.flat(n, m), design, MODE_SP)
             extra = rng.choice(np.arange(6, m + 1), int(rng.integers(0, 3)), replace=False)

@@ -394,8 +394,9 @@ class TestScreenedKernel:
     @pytest.mark.parametrize("way", [*SCREEN_WAYS, "p"])
     def test_counts_are_the_calls_made(self, monkeypatch, way):
         # the trace counts the evaluate_stack and FlipScreen.changes calls
-        # made after the initial state, and the rows those calls score
-        made = {"stack": [], "screen": []}
+        # made after the initial state, the rows those calls score, and
+        # the screens built
+        made = {"stack": [], "screen": [], "built": []}
         started = []
 
         def counted(kind, call, rows):
@@ -412,6 +413,7 @@ class TestScreenedKernel:
                             counted("stack", mh.evaluate_stack, lambda ctx, g, r: len(g)))
         monkeypatch.setattr(FlipScreen, "changes",
                             counted("screen", FlipScreen.changes, lambda _, g, r: len(g) + len(r)))
+        monkeypatch.setattr(mh, "FlipScreen", counted("built", FlipScreen, lambda *args: 1))
         if way == "p":
             ctx, flips = chain_context(MODE_P), 2
         else:
@@ -423,10 +425,17 @@ class TestScreenedKernel:
         trace = run_metropolis_hastings(ctx, config)
         assert trace.evaluator_calls == len(made["stack"]) + len(made["screen"])
         assert trace.candidates_evaluated == sum(made["stack"]) + sum(made["screen"])
+        assert trace.screens_built == len(made["built"])
         if way in ("stack", "p"):
-            assert not made["screen"] and trace.rescored == 0
+            assert not made["screen"] and trace.rescored == 0 and trace.screens_built == 0
         elif way == "screen":
             assert 0 < trace.rescored < sum(made["screen"])
+            # every state is screened on its first pass, except where an
+            # accept undoes the one before it and takes back its screen
+            accepts = np.column_stack((trace.which[trace.accepted], trace.flip_indices))
+            undos = int((accepts[1:] == accepts[:-1]).all(axis=1).sum())
+            assert undos > 0
+            assert len(accepts) - undos <= trace.screens_built <= len(accepts) - undos + 1
         else:
             assert trace.rescored == sum(made["screen"])
 

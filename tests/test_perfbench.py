@@ -2,8 +2,8 @@
 
 A traced run uses every name that ``perfbench/`` takes from dictseg, so
 removing or reshaping one of them fails here.  The two workloads take
-the context's F'F down its two paths: the full product (sim100) and
-the point-column split (wide-point).  The run writes only
+the context down its two paths: the full tables of every atom
+(sim100) and the point atoms in closed form (wide-point).  The run writes only
 under the git-ignored ``.perfbench_out/``.
 """
 

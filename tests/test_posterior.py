@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,6 +10,7 @@ from dictseg import (
     MODE_P,
     MODE_SP,
     DesignMatrix,
+    GibbsConfig,
     Hyperparameters,
     LatentState,
     MHConfig,
@@ -15,7 +18,9 @@ from dictseg import (
     TimeSeries,
     ValidationError,
     exchange_design,
+    fit_series,
     log_integrated_posterior,
+    run_gibbs,
     run_metropolis_hastings,
     simulation_design,
 )
@@ -228,7 +233,7 @@ class TestDegenerateStates:
 
 
 def crafted_design(n=60):
-    """Point columns with the cases the split of F'F must get right: a
+    """Point columns with the cases the closed form must get right: a
     duplicated point column, an all-zero column and a scaled negative
     one-nonzero column, beside a two-nonzero column and dense columns."""
     rng = np.random.default_rng(11)
@@ -239,7 +244,7 @@ def crafted_design(n=60):
     odd[50, 2] = -3.7
     odd[[2, 3], 3] = 1.0
     F = np.column_stack([np.ones(n), points, odd, rng.normal(size=(n, 6))])
-    return DesignMatrix(matrix=F, labels=tuple(f"a{j}" for j in range(F.shape[1])))
+    return DesignMatrix.from_matrix(F, tuple(f"a{j}" for j in range(F.shape[1])))
 
 
 CACHE_DESIGNS = {
@@ -249,7 +254,26 @@ CACHE_DESIGNS = {
     "haar128-2000": lambda: simulation_design(np.arange(1.0, 2001.0), "haar128"),
     "exchange": lambda: exchange_design(np.arange(1.0, 2001.0)),
     "crafted": crafted_design,
+    # read from a matrix, as a file is: most of its columns are point
+    # columns of amplitude 2^3.5, some of them zero columns
+    "haar128-100-matrix": lambda: DesignMatrix.from_matrix(
+        simulation_design(np.arange(1.0, 101.0), "haar128").matrix,
+        simulation_design(np.arange(1.0, 101.0), "haar128").labels),
 }
+
+
+def full_tables(F, y):
+    """The reversed running sums of [F, 0, Y] and the full products
+    [[F'F, 0, F'Y], [0, 0, 0], [Y'F, 0, Y'Y]], as the context gathers them."""
+    n, m = F.shape
+    suffix = np.zeros((n + 1, m + 2))
+    np.cumsum(F[::-1, :], axis=0, out=suffix[n - 1::-1, :m])
+    np.cumsum(y[::-1], out=suffix[n - 1::-1, m + 1])
+    gram = np.zeros((m + 2, m + 2))
+    np.matmul(F.T, F, out=gram[:m, :m])
+    gram[:m, m + 1] = gram[m + 1, :m] = F.T @ y
+    gram[m + 1, m + 1] = float(y @ y)
+    return suffix, gram
 
 
 class TestContextCaches:
@@ -257,11 +281,13 @@ class TestContextCaches:
         ctx = small_context()
         y = ctx.series.values
         F = ctx.design.matrix
-        assert ctx.yty == pytest.approx(float(y @ y), rel=1e-15)
-        np.testing.assert_allclose(ctx.ftf, F.T @ F, atol=1e-12)
         m = ctx.num_atoms
-        np.testing.assert_allclose(ctx._gram[:m, m + 1], F.T @ y, atol=1e-12)
-        np.testing.assert_allclose(ctx._suffix[:len(y), m + 1],
+        idx = np.arange(m + 2)
+        gram = ctx.gram(idx[:, None], idx)
+        assert ctx.yty == pytest.approx(float(y @ y), rel=1e-15)
+        np.testing.assert_allclose(gram[:m, :m], F.T @ F, atol=1e-12)
+        np.testing.assert_allclose(gram[:m, m + 1], F.T @ y, atol=1e-12)
+        np.testing.assert_allclose(ctx.ends(np.arange(len(y)), m + 1),
                                    np.array([y[i:].sum() for i in range(len(y))]),
                                    atol=1e-12)
 
@@ -272,13 +298,15 @@ class TestContextCaches:
         with pytest.raises(ValidationError):
             PosteriorContext(ctx.series, ctx.hyper, None, MODE_SP)
 
-    # F'F and the suffix sums against the full product and the reversed
-    # running sum over F, with the point-column split at its size
-    # threshold and forced on every design
+    # every suffix end and every F'F and F'Y entry that the context
+    # serves, against the reversed running sums over F and the full
+    # product, with the closed form at its size threshold and forced on
+    # every design
     @pytest.fixture(params=["threshold", "forced"])
     def split_min_work(self, request, monkeypatch):
         if request.param == "forced":
             monkeypatch.setattr(posterior, "SPLIT_MIN_WORK", 0)
+        return posterior.SPLIT_MIN_WORK
 
     @pytest.mark.parametrize("name", list(CACHE_DESIGNS))
     def test_caches_match_the_full_products(self, split_min_work, name):
@@ -287,35 +315,59 @@ class TestContextCaches:
         n, m = F.shape
         y = np.random.default_rng(5).normal(size=n)
         ctx = PosteriorContext(TimeSeries(values=y), Hyperparameters.flat(n, m), design)
-        full = F.T @ F
-        point = np.count_nonzero(F, axis=0) <= 1
-        assert np.array_equal(ctx.ftf[point], full[point])
-        assert np.array_equal(ctx.ftf[:, point], full[:, point])
-        assert np.abs(ctx.ftf - full).max() <= 1e-12 * np.abs(full).max()
-        suffix = np.zeros((n + 1, m + 2))
-        np.cumsum(F[::-1, :], axis=0, out=suffix[n - 1::-1, :m])
-        np.cumsum(y[::-1], out=suffix[n - 1::-1, m + 1])
-        assert np.array_equal(ctx._suffix, suffix)
-        if not point[1:].any():
-            assert np.array_equal(ctx.ftf, np.matmul(F.T, F))
+        closed = n * m * m >= split_min_work and 2 * len(design.point_atoms) >= m
+        assert (ctx._loc is not None) == closed
+        suffix, gram = full_tables(F, y)
+        idx = np.arange(m + 2)
+        assert ctx.ends(np.arange(n + 1)[:, None], idx).tobytes() == suffix.tobytes()
+        served = ctx.gram(idx[:, None], idx)
+        # in the closed form the dense atoms' products with each other and
+        # with Y are products of their own, within 1e-12 of the full ones;
+        # every other entry has the full product's bits
+        dense = np.zeros(m + 2, dtype=bool)
+        dense[np.append(design.dense_atoms, m + 1)] = closed
+        block = np.ix_(dense, dense)
+        assert np.abs(served[block] - gram[block]).max(initial=0.0) <= 1e-12 * np.abs(gram).max()
+        served[block] = gram[block]
+        assert served.tobytes() == gram.tobytes()
+        if closed:
+            assert all(a.size < n * m for a in vars(ctx).values() if isinstance(a, np.ndarray))
+
+    @pytest.mark.parametrize("name", ["point100-2000", "crafted", "exchange"])
+    def test_f_hat_has_the_bits_of_the_matrix_columns(self, split_min_work, name):
+        design = CACHE_DESIGNS[name]()
+        n, m = design.n, design.num_atoms
+        rng = np.random.default_rng(9)
+        ctx = PosteriorContext(TimeSeries(values=rng.normal(size=n)),
+                               Hyperparameters.flat(n, m), design)
+        atoms = np.sort(rng.choice(np.arange(1, m), 4, replace=False))
+        selection = make_state([1, n // 3, n // 2], n, np.append(1, atoms + 1), m)
+        fit = run_gibbs(ctx, selection, GibbsConfig(total_iterations=1, store_trace=False))
+        r = np.flatnonzero(selection.r)
+        assert fit.f_hat.tobytes() == (design.matrix[:, r] @ fit.lambda_hat).tobytes()
 
     def test_point_rows_are_found_exactly(self):
         F = crafted_design().matrix
-        cols, rows, values = posterior._point_rows(F)
+        cols, rows, values = dictionary._point_rows(F)
         assert np.array_equal(cols, np.flatnonzero(np.count_nonzero(F, axis=0) <= 1))
         assert np.array_equal(values, F[rows, cols])
         assert np.array_equal(values, F[:, cols].sum(axis=0))
 
     def test_product_past_the_float_range_takes_the_full_product(self, monkeypatch):
         # t·F[t, a] overflows for this column, so its row cannot be read
-        # off the index-weighted sum (F'F overflows there too)
+        # off the index-weighted sum, and the design holds no point atoms
+        # (F'F overflows there too)
         monkeypatch.setattr(posterior, "SPLIT_MIN_WORK", 0)
         F = crafted_design().matrix
         F[50, 43] = 1e307
-        out = np.zeros(2 * F.shape[1:])
+        design = DesignMatrix.from_matrix(F, crafted_design().labels)
+        assert not len(design.point_atoms)
+        n, m = F.shape
+        y = np.random.default_rng(5).normal(size=n)
         with np.errstate(over="ignore"):
-            posterior._fill_gram(F, out)
-            assert np.array_equal(out, np.matmul(F.T, F))
+            ctx = PosteriorContext(TimeSeries(values=y), Hyperparameters.flat(n, m), design)
+            idx = np.arange(m + 2)
+            assert np.array_equal(ctx.gram(idx[:, None], idx), full_tables(F, y)[1])
 
 
 def random_prior(rng, size):
@@ -457,13 +509,53 @@ class TestMemoryGuard:
 
     def test_estimate_within_physical_memory_builds(self, monkeypatch):
         monkeypatch.setattr(dictionary, "_physical_memory", lambda: self.ESTIMATE)
-        assert small_context().ftf.shape == (3, 3)
+        ctx = small_context()
+        assert ctx.gram(np.arange(3)[:, None], np.arange(3)).shape == (3, 3)
 
     def test_design_matrix_counts_toward_the_estimate(self, monkeypatch):
         # the caches alone, 8·(M² + n·M) bytes, would fit
         monkeypatch.setattr(dictionary, "_physical_memory", lambda: 8 * (3 * 3 + 12 * 3))
         with pytest.raises(ValidationError, match=str(self.ESTIMATE)):
             small_context()
+
+    def test_closed_form_counts_its_own_tables(self, monkeypatch):
+        # point100 at n = 100 (M = 123, M_d = 23) in closed form: the
+        # dense block, its suffix sums, the rows of every atom against it
+        # and the point rows being built, 8·(M_d + 2)·(2·n + 2·M) bytes
+        monkeypatch.setattr(posterior, "SPLIT_MIN_WORK", 0)
+        estimate = 8 * 25 * (2 * 100 + 2 * 123)
+        design = simulation_design(np.arange(1.0, 101.0), "point100")
+        series = TimeSeries(values=np.random.default_rng(3).normal(size=100))
+        hyper = Hyperparameters.flat(100, 123)
+        monkeypatch.setattr(dictionary, "_physical_memory", lambda: estimate - 1)
+        with pytest.raises(ValidationError, match=str(estimate)):
+            PosteriorContext(series, hyper, design)
+        monkeypatch.setattr(dictionary, "_physical_memory", lambda: estimate)
+        assert PosteriorContext(series, hyper, design)._loc is not None
+
+    def test_point_design_at_n_20000_builds_and_fits(self, monkeypatch):
+        # 20023 atoms, whose full tables would need 8·(M² + 2·n·M) bytes,
+        # about 9.6 GB; in closed form they fit a 1 GiB machine
+        monkeypatch.setattr(dictionary, "_physical_memory", lambda: 2 ** 30)
+        n = 20000
+        series = TimeSeries(values=np.random.default_rng(1).normal(size=n))
+        tracemalloc.start()
+        try:
+            design = simulation_design(series.covariate, "point100")
+            m = design.num_atoms
+            hyper = Hyperparameters.flat(n, m)
+            ctx = PosteriorContext(series, hyper, design)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert ctx._loc is not None
+        assert peak < 31e6  # measured 15.4 MB
+        out = fit_series(series, hyper, MHConfig(total_iterations=200, burn_in=50, seed=1),
+                         GibbsConfig(total_iterations=200, seed=2), design=design)
+        assert len(out.mh_trace) == 200 and out.fit.f_hat.shape == (n,)
+        monkeypatch.setattr(posterior, "SPLIT_MIN_WORK", 1 << 62)
+        with pytest.raises(ValidationError, match=str(8 * (m * m + 2 * n * m))):
+            PosteriorContext(series, hyper, design)
 
 
 def single_flips(ctx, state):
@@ -543,6 +635,24 @@ class TestFlipScreen:
         ctx = chain_context(MODE_SP)
         self.check(ctx, make_state(positions, 40, [1, 4], 6))
         self.check(ctx, make_state(positions, 40, [1, 2, 4, 5], 6))
+
+    def test_point_atoms_in_closed_form(self, monkeypatch):
+        # point100 at n = 60 with the closed form forced: the screen and
+        # evaluate_stack read the same gathers, and every neighbour's
+        # change agrees with the one the full tables give
+        x = np.arange(1.0, 61.0)
+        values = (np.where(x > 25, 1.0, 0.0) + np.where(x == 40, 2.0, 0.0)
+                  + np.random.default_rng(4).normal(0.0, 0.3, 60))
+        series = TimeSeries(values=values)
+        design = simulation_design(x, "point100")
+        hyper = Hyperparameters.flat(60, design.num_atoms, pi=0.05, eta=0.05)
+        full = PosteriorContext(series, hyper, design)
+        monkeypatch.setattr(posterior, "SPLIT_MIN_WORK", 0)
+        ctx = PosteriorContext(series, hyper, design)
+        assert full._loc is None and ctx._loc is not None
+        for state in chain_states(ctx):
+            _, exact = self.check(ctx, state)
+            np.testing.assert_allclose(exact, single_flips(full, state)[2], rtol=0, atol=1e-9)
 
     def test_forced_and_zero_prior_bits_are_flagged(self):
         ctx = forcing_context()
