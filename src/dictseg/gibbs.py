@@ -43,7 +43,6 @@ import mmap
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import solve_triangular
 
 from .errors import ComputeError, ValidationError
 from .mh import InclusionProbabilities
@@ -140,9 +139,10 @@ def _mapped_empty(rows: int, cols: int) -> np.ndarray:
 
     Through malloc, freeing a multi-megabyte array raises glibc's mmap
     threshold, so a later fit's slightly smaller draws land in the heap,
-    which then grows with every repeated fit in one process: over five
-    rounds of the benchmark's long-app fits, peak RSS rose from 98 to
-    105 MB with malloc'd draws and stayed at 99 MB with mapped ones.
+    which then grows with every repeated fit in one process: over five or
+    six rounds of the benchmark's long-app fits (seeds 1-3), peak RSS
+    rose from 75 MB after one round to 77-80 MB with malloc'd draws and
+    stayed at 75-77 MB with mapped ones.
     """
     return np.frombuffer(mmap.mmap(-1, 8 * rows * cols), dtype=float).reshape(rows, cols)
 
@@ -175,10 +175,17 @@ def run_gibbs(ctx: PosteriorContext, selection: LatentState, config: GibbsConfig
         # semidefinite, so A is positive definite whenever Fr'Fr is.  Its
         # elimination left D·L' (A = L·D·L') in the upper triangle: scaled
         # by D^{-1/2} it is the upper Cholesky factor R, A = R'R, and the
-        # bordered column scaled alike is R'^{-1}v.
+        # bordered column scaled alike is R'^{-1}v.  Below the diagonal
+        # the elimination left A's own entries; with them zeroed, the
+        # LU solve's partial pivoting swaps no row, so each solve by R is
+        # a back substitution.
         root = np.sqrt(pivots[:, 0])
-        chol = stack[:d_r, :d_r, 0] / root[:, None]
-        lam_raw = solve_triangular(chol, stack[:d_r, d_r, 0] / root)
+        chol = np.triu(stack[:d_r, :d_r, 0] / root[:, None])
+        if not np.isfinite(chol).all():
+            raise ComputeError("the Cholesky factor of the selected model's A is not finite")
+        lam_raw = np.linalg.solve(chol, stack[:d_r, d_r, 0] / root)
+        if not np.isfinite(lam_raw).all():
+            raise ComputeError("the posterior mean of the atom coefficients is not finite")
         q = float(stack[d_r, d_r, 0])
         seg_f, seg_y, inv_len = seg[:, :d_r, 0], seg[:, d_r, 0], inv_len[:, 0]
         mu = s1 * (seg_y - seg_f @ lam_raw) * inv_len
@@ -186,7 +193,7 @@ def run_gibbs(ctx: PosteriorContext, selection: LatentState, config: GibbsConfig
         inv_len, seg_y, q = _segment_algebra(ctx, gidx)
         inv_len, seg_y, q = inv_len[:, 0], seg_y[:, 0], float(q[0])
         mu = s1 * seg_y * inv_len
-    if q <= 0.0:
+    if not q > 0.0:
         raise ComputeError("inverse-gamma scale must be positive")
     sigma_hat = math.sqrt(0.5 * q) * math.exp(math.lgamma(0.5 * (n - 1)) - math.lgamma(0.5 * n))
 
@@ -218,7 +225,7 @@ def run_gibbs(ctx: PosteriorContext, selection: LatentState, config: GibbsConfig
             block_mu *= mu_scale
             if sp:
                 block_lam = block[:, d_g:]
-                block_lam[:] = solve_triangular(chol, block_lam.T).T
+                block_lam[:] = np.linalg.solve(chol, block_lam.T).T
                 block_lam += lam_raw
                 block_mu += s1 * (seg_y - block_lam @ seg_f.T) * inv_len
             else:

@@ -62,7 +62,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dictionary import DesignMatrix, check_memory
-from .errors import ValidationError
+from .errors import DataError, ValidationError
 from .stepmodel import TimeSeries
 
 MODE_SP = "sp"
@@ -239,7 +239,10 @@ class PosteriorContext:
         self.hyper = hyper
         self.design = design
         self.n = n
-        self.yty = float(y @ y)
+        with np.errstate(over="ignore"):
+            self.yty = float(y @ y)
+        if not np.isfinite(self.yty):
+            raise DataError("the series' sum of squares overflows: rescale the series")
         self._q_min = max(Q_FLOOR * self.yty, np.nextafter(0.0, 1.0))
         self._inverse = np.divide(1.0, np.arange(n + 1.0), out=np.zeros(n + 1),
                                   where=np.arange(n + 1) > 0)

@@ -14,7 +14,10 @@ summed here over every bit, not over the selected indices as the
 package sums it.  Nothing here shares code with the paths under test
 beyond the initial-state draw and the proposal draw themselves; the
 conditional sampler builds on ``dictseg.gibbs.GibbsSampler``, the step
-Gram and residual scale that the benchmark times and no fit runs.
+Gram and residual scale that the benchmark times and no fit runs.  The
+one exception, ``coefficients_triangular``, judges only the coefficient
+stage's triangular solves: it takes the package's segment algebra and
+elimination as they are and solves by their factor with scipy.
 """
 
 from __future__ import annotations
@@ -36,7 +39,7 @@ from dictseg import (
 )
 from dictseg import gibbs
 from dictseg.mh import TARGET_GAMMA, TARGET_R, _draw_flip_indices, _sample_initial
-from dictseg.posterior import Q_FLOOR
+from dictseg.posterior import Q_FLOOR, _eliminate, _segment_algebra
 
 MAX_DENSE_N = 512
 
@@ -199,6 +202,51 @@ def exact_covariance_dense(ctx: PosteriorContext, state: LatentState) -> np.ndar
     with E[sigma2] = q/(n - 2)."""
     x, penalty, _, q = _dense_normal_equations(ctx, state)
     return q / (ctx.n - 2) * np.linalg.inv(x.T @ x + penalty)
+
+
+def coefficients_triangular(ctx: PosteriorContext, state: LatentState, draws: int, seed: int):
+    """``run_gibbs``'s mode-sp estimates and its first ``draws`` draws
+    (at most one block), with every solve by the Cholesky factor R made
+    by scipy's ``solve_triangular``, which reads R's upper triangle alone.
+
+    R is left as the elimination leaves it, with A's own entries below
+    the diagonal, so the reference does not depend on their being
+    zeroed.  Returns a dict of ``lambda_hat``, ``beta_hat``, ``f_hat``,
+    ``sigma_hat``, ``chol`` and the draws ``beta``, ``lam``
+    and ``sigma2``.
+    """
+    n, s1 = ctx.n, ctx.shrink
+    positions, r_idx = state.positions(), np.flatnonzero(state.r)
+    d_g, d_r = positions.size, r_idx.size
+    inv_len, seg, stack = _segment_algebra(ctx, positions[None] - 1, r_idx[None])
+    pivots, _ = _eliminate(stack, d_r)
+    root = np.sqrt(pivots[:, 0])
+    chol = stack[:d_r, :d_r, 0] / root[:, None]
+    lam_raw = solve_triangular(chol, stack[:d_r, d_r, 0] / root)
+    q = float(stack[d_r, d_r, 0])
+    seg_f, seg_y, inv_len = seg[:, :d_r, 0], seg[:, d_r, 0], inv_len[:, 0]
+    mu = s1 * (seg_y - seg_f @ lam_raw) * inv_len
+    beta_hat = np.diff(mu, prepend=0.0)
+    lambda_hat = lam_raw.copy()
+    beta_hat[0] += lambda_hat[0]
+    lambda_hat[0] = 0.0
+
+    rng = np.random.default_rng(seed)
+    sigma2 = 1.0 / rng.gamma(shape=0.5 * n, scale=2.0 / q, size=draws)
+    z = rng.standard_normal((draws, d_g + d_r)) * np.sqrt(sigma2)[:, None]
+    lam = solve_triangular(chol, z[:, d_g:].T).T + lam_raw
+    mu_draws = z[:, :d_g] * np.sqrt(s1 * inv_len) + s1 * (seg_y - lam @ seg_f.T) * inv_len
+    return {
+        "lambda_hat": lambda_hat,
+        "beta_hat": beta_hat,
+        "f_hat": ctx.design.columns(r_idx) @ lambda_hat,
+        "sigma_hat": math.sqrt(0.5 * q) * math.exp(math.lgamma(0.5 * (n - 1))
+                                                   - math.lgamma(0.5 * n)),
+        "chol": chol,
+        "beta": np.diff(mu_draws, axis=1, prepend=0.0),
+        "lam": lam,
+        "sigma2": sigma2,
+    }
 
 
 class GibbsSampler(gibbs.GibbsSampler):

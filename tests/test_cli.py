@@ -327,6 +327,25 @@ class TestFitAndMetrics:
         assert code == 2
         assert "error (compute)" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("mode", ["sp", "p"])
+    @pytest.mark.parametrize("stage", ["both", "gibbs"])
+    def test_series_whose_sum_of_squares_overflows_is_a_data_error(self, workspace, capsys,
+                                                                    mode, stage):
+        # finite values whose squares overflow: y'y is inf, and q inf or NaN
+        rng = np.random.default_rng(8)
+        values = np.concatenate([rng.normal(0.0, 0.1, 20), 1e200 + rng.normal(0.0, 1e199, 20)])
+        series = workspace / "series.csv"
+        series.write_text("".join(f"{v!r}\n" for v in values.tolist()))
+        selection = workspace / "selection.json"
+        selection.write_text(json.dumps({"positions": [1, 21], "atoms": [1]}))
+        out_dir = workspace / "x"
+        code = main(["fit", "--input", str(series), "--out-dir", str(out_dir),
+                     "--mode", mode, "--dictionary", "exchange", "--stage", stage,
+                     "--selection", str(selection), "--config", str(workspace / "fast.cfg")])
+        assert code == 2
+        assert "error (data): the series' sum of squares overflows" in capsys.readouterr().err
+        assert not (out_dir / "summary.json").exists()
+
     def test_run_preset_with_application_preset_is_rejected(self, workspace, capsys):
         series = workspace / "series.csv"
         main(["simulate", "--n", "60", "--sigma", "0.1", "--seed", "4",

@@ -16,11 +16,13 @@ from dictseg import (
     run_gibbs,
     simulation_design,
 )
+from dictseg.dictionary import exchange_design
 from dictseg.io import write_draws
 from conftest import design_of, make_state, small_context
 from oracles import (
     GibbsSampler,
     batch_means_mcse,
+    coefficients_triangular,
     conditional_chain,
     exact_coefficients_dense,
     exact_covariance_dense,
@@ -235,6 +237,19 @@ class TestRunGibbs:
             with pytest.raises(ComputeError):
                 run_gibbs(ctx, selection, GibbsConfig(total_iterations=10, seed=1))
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_non_finite_factor_raises_compute_error(self):
+        # 1 + 1/c2 overflows, so A is infinite while Fr'Fr is regular
+        ctx = small_context(n=24, seed=5, c2=1e-308)
+        with pytest.raises(ComputeError, match="not finite"):
+            run_gibbs(ctx, make_state([1, 9], 24, [1, 3], 3), GibbsConfig(seed=1))
+
+    def test_nan_scale_raises_compute_error(self):
+        ctx = small_context(n=24, seed=5, mode=MODE_P)
+        ctx.yty = np.nan
+        with pytest.raises(ComputeError, match="scale must be positive"):
+            run_gibbs(ctx, make_state([1, 9], 24), GibbsConfig(seed=1))
+
     def test_trace_export(self, tmp_path):
         ctx = small_context(n=24, seed=5)
         selection = make_state([1, 9], 24, [1, 3], 3)
@@ -339,3 +354,42 @@ class TestClosedForm:
         assert bare.trace is None and traced.trace is not None
         np.testing.assert_array_equal(bare.beta_hat, traced.beta_hat)
         assert bare.sigma_hat == traced.sigma_hat
+
+
+# The numpy solve by the zeroed factor and scipy's triangular solve
+# differed by at most 6.2e-16 of an array's largest entry on these
+# selections; the bound is 160 times that.
+TRIANGULAR_BOUND = 1e-13
+
+
+class TestTriangularAgreement:
+    """``run_gibbs`` against ``oracles.coefficients_triangular``, which
+    solves by the factor with scipy's ``solve_triangular``."""
+
+    @pytest.mark.parametrize("family", ["exchange", "point100", "haar128"])
+    def test_estimates_and_draws_match_scipy(self, family):
+        n, draws = 200, 300
+        rng = np.random.default_rng(11)
+        series, _ = make_series(n, (40, 90, 150), (0.0, 2.0, -1.0, 1.0), 0.5, rng=rng)
+        design = (exchange_design(series.covariate) if family == "exchange"
+                  else simulation_design(series.covariate, family))
+        m = design.num_atoms
+        ctx = PosteriorContext(series, Hyperparameters.flat(n, m), design, MODE_SP)
+        for d_r in range(1, 13):
+            atoms = np.append(1, rng.choice(np.arange(2, m + 1), d_r - 1, replace=False))
+            positions = np.append(1, rng.choice(np.arange(2, n + 1), 4, replace=False))
+            selection = make_state(positions, n, atoms, m)
+            fit = run_gibbs(ctx, selection, GibbsConfig(total_iterations=draws, seed=d_r))
+            ref = coefficients_triangular(ctx, selection, draws, d_r)
+            # the elimination leaves A's entries below the diagonal, which
+            # scipy never reads and the numpy solve must not
+            assert d_r == 1 or np.tril(ref["chol"], -1).any()
+            assert fit.sigma_hat == ref["sigma_hat"]
+            np.testing.assert_array_equal(fit.trace.sigma2, ref["sigma2"])
+            for name, value in [("lambda_hat", fit.lambda_hat), ("beta_hat", fit.beta_hat),
+                                ("f_hat", fit.f_hat), ("beta", fit.trace.beta),
+                                ("lam", fit.trace.lam)]:
+                expected = ref[name]
+                np.testing.assert_allclose(value, expected, rtol=0.0,
+                                           atol=TRIANGULAR_BOUND * np.abs(expected).max(),
+                                           err_msg=f"{family}, d_r = {d_r}: {name}")

@@ -9,6 +9,7 @@ from dictseg import dictionary, mh, posterior
 from dictseg import (
     MODE_P,
     MODE_SP,
+    DataError,
     DesignMatrix,
     GibbsConfig,
     Hyperparameters,
@@ -177,6 +178,15 @@ class TestDegenerateStates:
         state = make_state([1], n, [1], 2)
         assert log_integrated_posterior(state, ctx) == -np.inf
         assert log_integrated_posterior_dense(state, ctx) == -np.inf
+
+    @pytest.mark.parametrize("mode", [MODE_SP, MODE_P])
+    def test_series_whose_sum_of_squares_overflows_is_rejected(self, mode):
+        n = 10
+        series = TimeSeries(values=np.r_[np.zeros(5), np.full(5, 1e200)])
+        design = design_of(series.covariate) if mode == MODE_SP else None
+        hyper = Hyperparameters.flat(n, 1 if mode == MODE_SP else None)
+        with pytest.raises(DataError, match="sum of squares overflows"):
+            PosteriorContext(series, hyper, design, mode)
 
     def test_duplicate_atoms_are_rejected(self, rng):
         n = 12
