@@ -8,6 +8,7 @@ init_functions, flip_gamma, flip_r, seed, mode, dictionary.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields, replace
 from typing import get_type_hints
 
@@ -44,6 +45,13 @@ class RunConfig:
         if self.mode not in (MODE_SP, MODE_P):
             raise ValidationError(f"mode must be '{MODE_SP}' or '{MODE_P}'")
         Hyperparameters.flat(2, 2, c1=self.c1, c2=self.c2, pi=self.pi, eta=self.eta)
+        # A = (1 + 1/c2)·Fr'Fr: a scale whose square overflows leaves the
+        # Gram entries it multiplies no room (c2 = 1e-308 gives a finite
+        # 1e308, and an infinite A)
+        scale = 1.0 + 1.0 / self.c2
+        if not math.isfinite(scale * scale):
+            raise ValidationError(f"c2 must be at least 1e-154, got {self.c2}: "
+                                  "the fit scales Fr'Fr by 1 + 1/c2")
         self.mh_config()
         self.gibbs_config()
         return self

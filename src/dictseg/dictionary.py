@@ -303,24 +303,31 @@ def load_design_matrix(path) -> DesignMatrix:
     """Read a custom design from CSV: header row of atom
     labels, then n rows by M columns.  The first column is forced to
     ones after checking it is constant.  A label may not hold a carriage
-    return, which ``write_csv`` would leave unquoted."""
-    from .io import csv_records, read_input  # not at the top: io imports this module through posterior
-    records = read_input(path, "dictionary file", csv_records)
-    line, header = next(records, (1, []))
-    labels = tuple(s.strip() for s in header)
-    if any("\r" in label for label in labels):
-        raise DataError(f"{path}: row {line} has a carriage return in an atom label")
-    data = []
-    for i, row in records:
-        if len(row) != len(labels):
-            raise DataError(f"{path}: row {i} has {len(row)} fields, expected {len(labels)}")
-        try:
-            data.append([float(v) for v in row])
-        except ValueError as exc:
-            raise DataError(f"{path}: row {i}: {exc}") from exc
-    if not data:
-        raise DataError(f"dictionary file {path} needs a header plus data rows")
-    F = np.array(data)
+    return, which ``write_csv`` would leave unquoted.  The numbers are
+    parsed by numpy (``io.numbers_after_first``); a file numpy refuses
+    is walked row by row."""
+    from .io import csv_records, numbers_after_first, read_input  # not at the top: io imports this module through posterior
+    plain = numbers_after_first(path, "dictionary file")
+    labels = () if plain is None else tuple(s.strip() for s in plain[0])
+    if plain is not None and len(plain[1]) and not any("\r" in label for label in labels):
+        F = plain[1]
+    else:
+        records = read_input(path, "dictionary file", csv_records)
+        line, header = next(records, (1, []))
+        labels = tuple(s.strip() for s in header)
+        if any("\r" in label for label in labels):
+            raise DataError(f"{path}: row {line} has a carriage return in an atom label")
+        data = []
+        for i, row in records:
+            if len(row) != len(labels):
+                raise DataError(f"{path}: row {i} has {len(row)} fields, expected {len(labels)}")
+            try:
+                data.append([float(v) for v in row])
+            except ValueError as exc:
+                raise DataError(f"{path}: row {i}: {exc}") from exc
+        if not data:
+            raise DataError(f"dictionary file {path} needs a header plus data rows")
+        F = np.array(data)
     if not np.all(np.isfinite(F)):
         raise DataError(f"{path}: non-finite entries")
     first = F[:, 0]

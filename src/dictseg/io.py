@@ -8,7 +8,7 @@ import json
 import math
 from contextlib import contextmanager
 from dataclasses import dataclass
-from itertools import chain, repeat
+from itertools import chain, islice, repeat, zip_longest
 from operator import itemgetter
 from pathlib import Path
 
@@ -47,11 +47,50 @@ def csv_records(fh):
     return filter(itemgetter(1), zip(lines, rows))
 
 
+def numbers_after_first(path, what: str):
+    """(first record, float table below it) of a CSV file whose rows
+    after its first record all hold as many numbers, or None.
+
+    The table is parsed by numpy's C reader, which converts each field
+    with ``PyOS_string_to_double`` as ``float()`` does and skips blank
+    lines as ``csv_records`` does.  None for an empty file and for any
+    file the reader refuses: a quote, an empty or blank field, a row of
+    another width, text only ``float()`` takes (``1_000``), bad UTF-8.
+    Callers walk such a file's rows with ``csv_records``, which words
+    every error message."""
+    def parse(fh):
+        try:
+            first = next(filter(None, csv.reader(fh)), None)
+            if first is None:
+                return None
+            line = next((line for line in fh if line.strip("\r\n")), None)
+            if line is None:
+                return first, np.empty((0, len(first)))
+            table = np.loadtxt(chain([line], fh), delimiter=",", comments=None,
+                               quotechar=None, ndmin=2)
+        except ValueError:  # bad UTF-8, or a line numpy refuses: the row walk words it
+            return None
+        return (first, table) if table.shape[1] == len(first) else None
+    return read_input(path, what, parse)
+
+
 def load_series(path) -> TimeSeries:
     """Read a series from CSV: one row per time, either a single value
     column or (label, value).  A header row is skipped if its value
     field is not numeric.  A label may not hold a carriage return, which
-    ``write_csv`` would leave unquoted."""
+    ``write_csv`` would leave unquoted.  A one-column file of finite
+    values is parsed by numpy (``numbers_after_first``); a labelled
+    file, and any file numpy refuses, is walked row by row."""
+    plain = numbers_after_first(path, "series")
+    if plain is not None and len(plain[0]) == 1:
+        (first,), table = plain
+        try:
+            head = [float(first)]
+        except ValueError:
+            head = []  # a header row
+        values = np.concatenate((head, table[:, 0]))
+        if np.isfinite(values).all():
+            return TimeSeries(values=values)
     records = read_input(path, "series", csv_records)
     first = next(records, None)
     if first is None:
@@ -162,47 +201,136 @@ def _created(path):
         raise DataError(f"cannot write {path}: {exc}") from exc
 
 
-def _cells(column):
-    """A column's values; an array's as Python objects, a slice at a
-    time (iterating the array itself makes a numpy scalar per value,
-    which is slower to create and to print)."""
-    if isinstance(column, np.ndarray):
-        return chain.from_iterable(column[i:i + 4096].tolist()
-                                   for i in range(0, len(column), 4096))
-    return column
+# Cells that write_csv formats and writes at a time (at least 64 rows).
+# A chunk's texts are small objects that stay resident once allocated:
+# a fit's writes grow the resident set by about 0.1 MB at this size,
+# 0.7 MB at 1 << 13, and take 5 % longer than at 1 << 13.
+_CHUNK_CELLS = 1 << 10
+_JSON_NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def _texts(values: np.ndarray, for_json: bool = False) -> np.ndarray:
+    """The text of each entry of a numeric or boolean array, as an object
+    array of its shape: what csv.writer writes for the entry's Python
+    value (a float's repr), or with ``for_json`` what json.dumps writes.
+    Each distinct bit pattern is formatted once, so -0.0 and 0.0, and
+    every NaN payload, stay apart."""
+    flat = values.ravel()
+    keys = flat.view(f"i{flat.itemsize}").astype(np.int64, copy=False)
+    # not np.unique: its int64 quicksort brings in 0.25 MB of code pages
+    # that a fit does not otherwise touch; after a fit, this sort brings none
+    order = np.argsort(keys, kind="stable")
+    ordered = keys[order]
+    first = np.empty(len(keys), dtype=bool)
+    first[:1] = True
+    np.not_equal(ordered[1:], ordered[:-1], out=first[1:])
+    inverse = np.empty(len(keys), dtype=np.intp)
+    inverse[order] = np.cumsum(first) - 1
+    distinct = flat[order[first]]
+    texts = np.array(list(map(str, distinct.tolist())), dtype=object)
+    if for_json and flat.dtype.kind == "f":
+        odd = ~np.isfinite(distinct)
+        texts[odd] = [_JSON_NON_FINITE[text] for text in texts[odd]]
+    return texts[inverse].reshape(values.shape)
 
 
 def _numeric(column) -> bool:
     """Whether every field of a column prints without quoting: an
-    integer or float array, or a range."""
+    integer, float or boolean array (1- or 2-D), or a range."""
     return isinstance(column, range) or (isinstance(column, np.ndarray)
-                                         and column.dtype.kind in "iuf")
+                                         and column.dtype.kind in "biuf"
+                                         and column.itemsize <= 8)
+
+
+def _chunks(column, size: int):
+    """A column's cells ``size`` rows at a time: per chunk, a list of
+    cell lists, one per column it holds (a 2-D array holds a column per
+    row).  The cells of ``_numeric`` columns come as text; other cells
+    as they are, for csv.writer."""
+    # no chunk is left bound to a name here while the next is made
+    if isinstance(column, range):
+        for i in range(0, len(column), size):
+            yield [list(map(str, column[i:i + size]))]
+    elif isinstance(column, np.ndarray):
+        form = _texts if _numeric(column) else np.asarray
+        for i in range(0, column.shape[-1], size):
+            cells = form(column[..., i:i + size]).tolist()
+            yield cells if column.ndim == 2 else [cells]
+            del cells
+    else:
+        rest = iter(column)
+        while cells := list(islice(rest, size)):
+            yield [cells]
+            del cells
 
 
 def write_csv(path, header, columns) -> None:
-    """Write equal-length columns under a header row: UTF-8, LF line
-    ends, floats as their repr, a field quoted only where it holds a
-    comma, a double quote or a newline.  Rows are formatted one at a time
-    from the columns, so no whole table is held as text.  A table of
-    numeric columns alone skips ``csv.writer``, which would scan every
-    character of every number for quoting, for a ``%r`` line format:
-    the same bytes."""
+    """Write equal-length columns under a header row as csv.writer
+    writes the rows of their Python values: UTF-8, LF line ends, floats
+    as their repr, a field quoted only where it holds a comma, a double
+    quote or a newline.  A 2-D array, as ``columns`` or one of them, is
+    a column per row.
+
+    Rows go out in chunks of about ``_CHUNK_CELLS`` cells, so no whole
+    table is held as text.  In each chunk, a numeric or boolean array's
+    distinct values are formatted once each (``_texts``).  A table of
+    such arrays and ranges alone is joined with ``str.join``, not
+    csv.writer, which would scan every character of every number for
+    quoting: the same bytes."""
+    if isinstance(columns, np.ndarray) and columns.ndim == 2:
+        columns = [columns]
     columns = list(columns)
+    width = sum(len(c) if isinstance(c, np.ndarray) and c.ndim == 2 else 1 for c in columns)
+    size = max(64, _CHUNK_CELLS // max(width, 1))
+    plain = all(map(_numeric, columns))
     with _created(path) as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
-        rows = zip(*map(_cells, columns), strict=True)
-        if all(map(_numeric, columns)):
-            line = ",".join(["%r"] * len(columns)) + "\n"
-            fh.writelines(line % row for row in rows)
-        else:
-            writer.writerows(rows)
+        for parts in zip_longest(*(_chunks(c, size) for c in columns)):
+            cells = [cell for part in parts if part is not None for cell in part]
+            if None in parts or len(set(map(len, cells))) > 1:
+                raise ValueError(f"{path}: columns of unequal length")
+            if plain:
+                fh.write("\n".join(map(",".join, zip(*cells))))
+                fh.write("\n")
+            else:
+                writer.writerows(zip(*cells))
+            del parts, cells  # before the next chunk is made
+
+
+def _write_json_array(fh, values: np.ndarray) -> None:
+    """A float array as json.dumps(..., indent=2) writes the list of its
+    values under a top-level key, a chunk at a time."""
+    if not len(values):
+        fh.write("[]")
+        return
+    lead = "[\n    "
+    for i in range(0, len(values), _CHUNK_CELLS):
+        fh.write(lead + ",\n    ".join(_texts(values[i:i + _CHUNK_CELLS], for_json=True).tolist()))
+        lead = ",\n    "
+    fh.write("\n  ]")
 
 
 def write_json(path, payload) -> None:
-    """Write a JSON document: 2-space indent, sorted keys, final newline."""
+    """Write a JSON document: 2-space indent, sorted keys, final newline.
+    A 1-D float array under a top-level key is written as the list of
+    its values, each distinct value formatted once a chunk (``_texts``),
+    so json's pure-Python indenting encoder never walks it."""
+    arrays = {}
+    if isinstance(payload, dict):
+        arrays = {key: value for key, value in payload.items()
+                  if isinstance(value, np.ndarray) and value.dtype.kind == "f"
+                  and value.ndim == 1}
+        payload = {**payload, **dict.fromkeys(arrays)}
+    # a top-level key alone starts a line with two spaces and a quote
+    text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
     with _created(path) as fh:
-        fh.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+        for key in sorted(arrays):
+            slot = f"\n  {json.dumps(key)}: "
+            head, text = text.split(slot + "null", 1)
+            fh.write(head + slot)
+            _write_json_array(fh, arrays[key])
+        fh.write(text)
 
 
 def write_results(fit: FitResult, trace: MHTrace, series: TimeSeries,
@@ -225,19 +353,20 @@ def write_results(fit: FitResult, trace: MHTrace, series: TimeSeries,
 
     def part(kind, size, labels, probs, selected):
         """The inclusion table's columns for one inclusion vector."""
+        flags = np.zeros(size, dtype=np.int8)
+        flags[[i - 1 for i in selected]] = 1
         return [repeat(kind, size), range(1, size + 1), labels,
-                repeat("", size) if probs is None else _cells(probs),
-                (int(i in selected) for i in range(1, size + 1))]
+                repeat("", size) if probs is None else probs, flags]
 
-    positions = part("position", n, series.labels or repeat("", n),
-                     incl and incl.gamma_prob, selected_positions)
-    atoms = [()] * len(positions)
+    parts = [part("position", n, series.labels or repeat("", n),
+                  incl and incl.gamma_prob, selected_positions)]
     if sp:
         num_atoms = len(incl.r_prob) if incl is not None else len(atom_labels or [])
         labels = atom_labels or [""] * num_atoms
-        atoms = part("atom", num_atoms, labels, incl and incl.r_prob, selected_atoms)
+        parts.append(part("atom", num_atoms, labels, incl and incl.r_prob, selected_atoms))
     write_csv(paths["inclusion"], ["kind", "index", "label", "probability", "selected"],
-              map(chain, positions, atoms))
+              [np.concatenate(c) if isinstance(c[0], np.ndarray) else chain(*c)
+               for c in zip(*parts)])
 
     mu_hat = fit.mean_path(n)
     columns = {"y": series.values, "mu_hat": mu_hat}
@@ -265,7 +394,7 @@ def write_results(fit: FitResult, trace: MHTrace, series: TimeSeries,
             {"index": a, "label": labels[a - 1] if a <= len(labels) else ""}
             for a in sorted(selected_atoms)
         ]
-        summary["f_hat"] = [float(v) for v in fit.f_hat]
+        summary["f_hat"] = fit.f_hat
         if trace is not None:
             summary["acceptance"]["r"] = trace.acceptance_rate("r")
     write_json(paths["summary"], summary)
@@ -286,8 +415,8 @@ def write_trace(trace: MHTrace, path) -> None:
                for t in range(len(trace)))
     write_csv(path, ["iteration", "target", "accepted", "log_density", "changed"], [
         range(len(trace)),
-        ("gamma" if w == TARGET_GAMMA else "r" for w in _cells(trace.which)),
-        map(int, _cells(trace.accepted)),
+        np.where(trace.which == TARGET_GAMMA, "gamma", "r"),
+        trace.accepted.astype(np.int8),
         trace.log_density,
         changed,
     ])
@@ -296,10 +425,10 @@ def write_trace(trace: MHTrace, path) -> None:
 def write_draws(trace: GibbsTrace, path) -> None:
     """One row per coefficient draw: iteration, each beta, each lambda,
     sigma2."""
-    lam = () if trace.lam is None else trace.lam.T
+    lam = () if trace.lam is None else (trace.lam.T,)
     write_csv(path, ["iteration", *(f"beta@{p}" for p in trace.positions),
                      *(f"lambda@{a}" for a in trace.atoms or ()), "sigma2"],
-              [range(len(trace.sigma2)), *trace.beta.T, *lam, trace.sigma2])
+              [range(len(trace.sigma2)), trace.beta.T, *lam, trace.sigma2])
 
 
 def _selected(values, size: int, what: str, path) -> np.ndarray:

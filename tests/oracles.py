@@ -18,10 +18,16 @@ Gram and residual scale that the benchmark times and no fit runs.  The
 one exception, ``coefficients_triangular``, judges only the coefficient
 stage's triangular solves: it takes the package's segment algebra and
 elimination as they are and solves by their factor with scipy.
+
+The file readers and writers are pinned by the code they replace:
+``load_series_rows`` and ``load_design_matrix_rows`` walk every record
+and parse every field with ``float()``, and ``write_csv_rows`` hands
+the columns' Python values to ``csv.writer`` row by row.
 """
 
 from __future__ import annotations
 
+import csv
 import math
 
 import numpy as np
@@ -37,7 +43,8 @@ from dictseg import (
     ValidationError,
     log_integrated_posterior,
 )
-from dictseg import gibbs
+from dictseg import DataError, DesignMatrix, TimeSeries, gibbs
+from dictseg.io import csv_records, read_input
 from dictseg.mh import TARGET_GAMMA, TARGET_R, _draw_flip_indices, _sample_initial
 from dictseg.posterior import Q_FLOOR, _eliminate, _segment_algebra
 
@@ -413,3 +420,87 @@ def sequential_chain(ctx: PosteriorContext, config, rng: np.random.Generator | N
         flip_offsets=flip_offsets, flip_indices=flip_indices,
     )
     return trace, tuple(neg_inf)
+
+
+def load_series_rows(path) -> TimeSeries:
+    """``dictseg.io.load_series`` as a walk over the file's records: a
+    header if the first record's value field is not numeric, then every
+    value through ``float()``."""
+    records = read_input(path, "series", csv_records)
+    first = next(records, None)
+    if first is None:
+        raise DataError(f"series file {path} is empty")
+    width = len(first[1])
+    if width not in (1, 2):
+        raise DataError(f"{path}: expected 1 or 2 columns, got {width}")
+    try:
+        float(first[1][-1])
+        records = [first, *records]
+    except ValueError:
+        pass  # a header row
+    values, labels = [], []
+    for i, row in records:
+        if len(row) != width:
+            raise DataError(f"{path}: row {i} has {len(row)} fields, expected {width}")
+        raw = row[-1].strip()
+        if not raw:
+            raise DataError(f"{path}: row {i} has a missing value")
+        try:
+            value = float(raw)
+        except ValueError as exc:
+            raise DataError(f"{path}: row {i}: {exc}") from exc
+        if not math.isfinite(value):
+            raise DataError(f"{path}: row {i} has a non-finite value")
+        values.append(value)
+        if width == 2:
+            labels.append(row[0].strip())
+            if "\r" in labels[-1]:
+                raise DataError(f"{path}: row {i} has a carriage return in its label")
+    return TimeSeries(values=np.array(values),
+                      labels=tuple(labels) if width == 2 else None)
+
+
+def load_design_matrix_rows(path) -> DesignMatrix:
+    """``dictseg.dictionary.load_design_matrix`` as a walk over the
+    file's records, every entry through ``float()``."""
+    records = read_input(path, "dictionary file", csv_records)
+    line, header = next(records, (1, []))
+    labels = tuple(s.strip() for s in header)
+    if any("\r" in label for label in labels):
+        raise DataError(f"{path}: row {line} has a carriage return in an atom label")
+    data = []
+    for i, row in records:
+        if len(row) != len(labels):
+            raise DataError(f"{path}: row {i} has {len(row)} fields, expected {len(labels)}")
+        try:
+            data.append([float(v) for v in row])
+        except ValueError as exc:
+            raise DataError(f"{path}: row {i}: {exc}") from exc
+    if not data:
+        raise DataError(f"dictionary file {path} needs a header plus data rows")
+    F = np.array(data)
+    if not np.all(np.isfinite(F)):
+        raise DataError(f"{path}: non-finite entries")
+    first = F[:, 0]
+    if not np.allclose(first, first[0]) or first[0] == 0.0:
+        raise DataError(f"{path}: first column must be a nonzero constant")
+    F[:, 0] = 1.0
+    return DesignMatrix.from_matrix(F, labels)
+
+
+def write_csv_rows(path, header, columns) -> None:
+    """``dictseg.io.write_csv`` as ``csv.writer`` over the rows of the
+    columns' Python values: an array's by ``tolist``, and a 2-D array's
+    rows as columns."""
+    if isinstance(columns, np.ndarray) and columns.ndim == 2:
+        columns = [columns]
+    cells = []
+    for column in columns:
+        if isinstance(column, np.ndarray) and column.ndim == 2:
+            cells.extend(column.tolist())
+        else:
+            cells.append(column.tolist() if isinstance(column, np.ndarray) else list(column))
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(zip(*cells, strict=True))

@@ -346,6 +346,24 @@ class TestFitAndMetrics:
         assert "error (data): the series' sum of squares overflows" in capsys.readouterr().err
         assert not (out_dir / "summary.json").exists()
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_c2_whose_scale_overflows_is_a_validation_error(self, workspace, capsys):
+        # 1 + 1/c2 = 1e308 is finite, but A = (1 + 1/c2)·Fr'Fr is not
+        series = workspace / "series.csv"
+        assert main(["simulate", "--n", "100", "--sigma", "0.5", "--seed", "3",
+                     "--out", str(series)]) == 0
+        cfg = workspace / "tiny-c2.cfg"
+        cfg.write_text(FAST_CFG + "c2 = 1e-308\n")
+        out_dir = workspace / "x"
+        assert main(["fit", "--input", str(series), "--out-dir", str(out_dir),
+                     "--config", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert "error (validation): c2 must be at least 1e-154, got 1e-308" in err
+        assert not out_dir.exists()
+        cfg.write_text(FAST_CFG + "c2 = 1e-154\n")
+        assert main(["fit", "--input", str(series), "--out-dir", str(out_dir),
+                     "--config", str(cfg)]) == 0
+
     def test_run_preset_with_application_preset_is_rejected(self, workspace, capsys):
         series = workspace / "series.csv"
         main(["simulate", "--n", "60", "--sigma", "0.1", "--seed", "4",

@@ -8,16 +8,22 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import oracles
 from dictseg import (
     BenchmarkReport,
     DataError,
     ReplicateRow,
     TimeSeries,
+    ValidationError,
     exchange_design,
     load_design_matrix,
     load_event_priors,
@@ -26,9 +32,11 @@ from dictseg import (
     resolve_design,
     simulate_series,
 )
+from dictseg import io as dio
 from dictseg.cli import main
 from dictseg.io import write_csv, write_json
-from dictseg.config import load_config
+from dictseg.config import RunConfig, load_config
+from dictseg.pipeline import fit_series
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -63,6 +71,11 @@ class TestWriters:
             write_csv(tmp_path / "t.csv", ["a", "b"], [range(3), range(2)])
         with pytest.raises(ValueError):
             write_csv(tmp_path / "t.csv", ["a", "b"], [range(3), np.zeros(4)])
+        # iterators, whose lengths show only chunk by chunk
+        with pytest.raises(ValueError):
+            write_csv(tmp_path / "t.csv", ["a", "b"], [np.zeros(5000), iter(range(4999))])
+        with pytest.raises(ValueError):
+            write_csv(tmp_path / "t.csv", ["a", "b"], [np.zeros(64), iter(range(65))])
 
     def test_numeric_table_has_the_bytes_of_csv_writer(self, tmp_path):
         # a table of numeric arrays and ranges alone skips csv.writer
@@ -240,3 +253,238 @@ class TestOneWriterModule:
         found = {m.name: writes_files(m.read_text(encoding="utf-8"))
                  for m in modules if m.name != "io.py"}
         assert {name: lines for name, lines in found.items() if lines} == {}
+
+
+def outcome(read, path):
+    """What a reader makes of a file: its result, or its error's type
+    and message."""
+    try:
+        return read(path)
+    except (DataError, ValidationError) as exc:
+        return type(exc), str(exc)
+
+
+# Floats written the three ways a series file may hold them (hypothesis'
+# floats include subnormals, infinities and NaN), and fields the C
+# reader refuses or float() refuses.
+NUMBER_FORMS = (repr, "%.17g".__mod__, "%e".__mod__)
+ODD_FIELDS = ("", " ", "\t", "1_000", '"2.5"', '"3', "nan", "-inf", "Infinity", "﻿1.5",
+              "x", "1e400", "0x10", "١", "1\x002", " 1.5 ")
+LABELS = ("a", " b ", '"c,d"', '"e""f"', "", "2001-01-07")
+HEADERS = ("value", " value", '"value"', '"1.5"', "", "﻿value", "v\x00", "label,value")
+
+
+@st.composite
+def value_fields(draw):
+    if draw(st.integers(0, 9)) < 8:
+        text = draw(st.sampled_from(NUMBER_FORMS))(draw(st.floats()))
+    else:
+        text = draw(st.sampled_from(ODD_FIELDS))
+    pad = st.text(alphabet=" \t", max_size=2)
+    return draw(pad) + text + draw(pad)
+
+
+@st.composite
+def series_files(draw):
+    """Text of a series file: an optional header, one or two columns,
+    blank lines, LF, CRLF or lone CR line ends, perhaps a BOM."""
+    labelled = draw(st.integers(0, 4)) == 0
+    lines = []
+    for _ in range(draw(st.integers(0, 12))):
+        if draw(st.integers(0, 9)) == 0:
+            lines.append(draw(st.sampled_from(["", " ", "\t"])))
+        elif labelled:
+            lines.append(f"{draw(st.sampled_from(LABELS))},{draw(value_fields())}")
+        else:
+            lines.append(draw(value_fields()))
+    if draw(st.booleans()):
+        lines.insert(0, draw(st.sampled_from(HEADERS)))
+    ends = [draw(st.sampled_from(["\n", "\r\n", "\r"])) for _ in lines]
+    text = "".join(line + end for line, end in zip(lines, ends))
+    if lines and draw(st.booleans()):
+        text = text[:-len(ends[-1])]
+    return ("﻿" if draw(st.integers(0, 5)) == 0 else "") + text
+
+
+class TestReaderEquivalence:
+    """The C reader gives what walking every record with float() gives:
+    the same value bits and labels, or the same error."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(text=series_files())
+    def test_series(self, tmp_path_factory, text):
+        path = tmp_path_factory.getbasetemp() / "series-equivalence.csv"
+        path.write_bytes(text.encode("utf-8"))
+        want, got = outcome(oracles.load_series_rows, path), outcome(load_series, path)
+        if isinstance(want, TimeSeries):
+            assert isinstance(got, TimeSeries)
+            assert got.values.tobytes() == want.values.tobytes()
+            assert got.labels == want.labels
+        else:
+            assert got == want
+
+    @settings(max_examples=200, deadline=None)
+    @given(header=st.lists(st.sampled_from(["c", "x", '"a,b"', '"q""t"', " y "]),
+                           min_size=1, max_size=3),
+           rows=st.lists(st.lists(value_fields(), min_size=1, max_size=3), max_size=8),
+           end=st.sampled_from(["\n", "\r\n", "\r"]), constant=st.booleans())
+    def test_design(self, tmp_path_factory, header, rows, end, constant):
+        if constant:  # most designs pass the first-column check
+            rows = [["1", *row[1:]] for row in rows]
+        text = "".join(",".join(row) + end for row in [header, *rows])
+        path = tmp_path_factory.getbasetemp() / "design-equivalence.csv"
+        path.write_bytes(text.encode("utf-8"))
+        want = outcome(oracles.load_design_matrix_rows, path)
+        got = outcome(load_design_matrix, path)
+        if isinstance(want, tuple):
+            assert got == want
+        else:
+            assert got.labels == want.labels
+            assert got.matrix.tobytes() == want.matrix.tobytes()
+
+    def test_plain_files_are_not_walked(self, tmp_path, monkeypatch):
+        def walk(fh):
+            raise AssertionError("walked row by row")
+
+        series, design = tmp_path / "series.csv", tmp_path / "design.csv"
+        series.write_text("value\r\n\r\n 1.5\r\n-2e-310\t\r\n3\r\n")
+        design.write_text('"c,1",x\n\n1,0.5\n1,-0.0\n')
+        monkeypatch.setattr(dio, "csv_records", walk)
+        assert load_series(series).values.tolist() == [1.5, -2e-310, 3.0]
+        assert load_design_matrix(design).labels == ("c,1", "x")
+
+
+NAN_PAYLOADS = np.array([0x7FF8000000000001, 0xFFF8000000000000, 0x7FF0000000000001],
+                        dtype=np.uint64).view(np.float64)
+FLOAT_POOL = np.concatenate([NAN_PAYLOADS, [np.nan, 0.0, -0.0, 1.0, -1.5, 0.1, 1 / 3, np.inf,
+                                            -np.inf, 5e-324, -5e-324, 2.2250738585072014e-308,
+                                            1e-310, 1e300, 1e16, 1e-5]])
+TEXT_POOL = ["", "a", "a,b", 'say "hi"', "two\nlines", "π×", " pad ", "0.5"]
+COLUMN_KINDS = ("repeats", "spread", "float32", "int64", "uint64", "int8", "bool", "range",
+                "texts", "generator", "block")
+
+
+def make_column(kind: str, rows: int, rng: np.random.Generator):
+    if kind == "repeats":
+        return rng.choice(FLOAT_POOL, rows)
+    if kind == "spread":
+        with np.errstate(over="ignore"):
+            values = rng.normal(size=rows) * 10.0 ** rng.integers(-320, 309, rows)
+        return np.where(rng.random(rows) < 0.3, rng.choice(FLOAT_POOL, rows), values)
+    if kind == "float32":
+        with np.errstate(over="ignore", invalid="ignore"):
+            return np.where(rng.random(rows) < 0.5, rng.choice(FLOAT_POOL, rows),
+                            rng.normal(size=rows)).astype(np.float32)
+    if kind == "int64":
+        return rng.integers(-2**63, 2**63 - 1, rows, dtype=np.int64) >> rng.integers(0, 63, rows)
+    if kind == "uint64":
+        return rng.integers(0, 2**64 - 1, rows, dtype=np.uint64, endpoint=True)
+    if kind == "int8":
+        return rng.integers(-2, 2, rows, dtype=np.int8)
+    if kind == "bool":
+        return rng.random(rows) < 0.5
+    if kind == "range":
+        return range(7, 7 + rows)
+    texts = [TEXT_POOL[i] for i in rng.integers(0, len(TEXT_POOL), rows)]
+    if kind == "texts":
+        return texts
+    if kind == "generator":
+        return (text for text in texts)
+    return rng.choice(FLOAT_POOL, (int(rng.integers(1, 4)), rows))
+
+
+class TestWriterEquivalence:
+    """write_csv gives the bytes of csv.writer over the rows' Python
+    values, and write_json those of json.dumps over the arrays' lists."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1),
+           rows=st.integers(0, 300) | st.sampled_from([819, 820, 1638, 2500]),
+           kinds=st.lists(st.sampled_from(COLUMN_KINDS), min_size=1, max_size=6),
+           whole=st.booleans())
+    def test_csv(self, tmp_path_factory, seed, rows, kinds, whole):
+        def columns():
+            rng = np.random.default_rng(seed)
+            made = [make_column(kind, rows, rng) for kind in kinds]
+            # one 2-D array may stand for all the columns
+            return made[0] if whole and kinds == ["block"] else made
+
+        base = tmp_path_factory.getbasetemp()
+        header = [f"c{i}" for i in range(len(kinds))]
+        write_csv(base / "got.csv", header, columns())
+        oracles.write_csv_rows(base / "want.csv", header, columns())
+        assert (base / "got.csv").read_bytes() == (base / "want.csv").read_bytes()
+
+    @settings(max_examples=200, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), sizes=st.lists(st.integers(0, 5000), min_size=1,
+                                                          max_size=3))
+    def test_json(self, tmp_path_factory, seed, sizes):
+        rng = np.random.default_rng(seed)
+        arrays = {key: rng.choice(FLOAT_POOL, size) if size % 2 else rng.normal(size=size)
+                  for key, size in zip(("a", "f_hat", "zz"), sizes)}
+        if len(sizes) > 2:
+            with np.errstate(over="ignore", invalid="ignore"):
+                arrays["zz"] = arrays["zz"].astype(np.float32)
+        payload = {**arrays, "f": {"f_hat": [1.5, None]}, "mode": "sp", "n": 3, "y": []}
+        path = tmp_path_factory.getbasetemp() / "got.json"
+        write_json(path, payload)
+        lists = {key: value.tolist() for key, value in arrays.items()}
+        assert path.read_bytes().decode("utf-8") == json.dumps(
+            {**payload, **lists}, indent=2, sort_keys=True) + "\n"
+
+
+def long_fit(directory: Path):
+    """(series file, series, atom labels, fit output) of a 20000-point
+    fit shaped like the benchmark's long-app workload: eight levels, a
+    yearly sine and noise, the exchange dictionary in mode sp, and a
+    shortened search."""
+    rng = np.random.default_rng(2015)
+    n = 20000
+    t = np.arange(1, n + 1)
+    values = (np.repeat(rng.normal(0.0, 2.0, 8), n // 8) + 0.3 * np.sin(2 * np.pi * t / 52.18)
+              + rng.normal(0.0, 0.5, n))
+    path = directory / "series.csv"
+    write_csv(path, ["value"], [values])
+    series = load_series(path)
+    design, labels = resolve_design("exchange", series)
+    cfg = replace(RunConfig.application(), dictionary="exchange", seed=11,
+                  iterations=4000, burn_in=1200, gibbs_iterations=100)
+    out = fit_series(series, cfg.hyperparameters(n, design.num_atoms), cfg.mh_config(),
+                     cfg.gibbs_config(), design=design)
+    return path, series, labels, out
+
+
+def traced_peak(call) -> int:
+    """tracemalloc's peak, in bytes, over one call after a warm-up call."""
+    call()
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestMemoryPeaks:
+    """Reading and writing a long series hold no more memory than the
+    row walk and the row-at-a-time writer did.  The bounds are their
+    tracemalloc peaks on ``long_fit``, measured with the code they
+    replaced (Python 3.11, numpy 2.4).  The writer stays below its bound
+    only because it formats and writes a chunk of rows at a time."""
+
+    LOAD_PEAK = 4_431_586
+    WRITE_PEAK = 3_168_449
+
+    @pytest.fixture(scope="class")
+    def fitted(self, tmp_path_factory):
+        return long_fit(tmp_path_factory.mktemp("long-fit"))
+
+    def test_load_series(self, fitted):
+        path = fitted[0]
+        assert traced_peak(lambda: load_series(path)) <= self.LOAD_PEAK
+
+    def test_write_results(self, fitted, tmp_path):
+        _, series, labels, out = fitted
+        peak = traced_peak(lambda: dio.write_results(out.fit, out.mh_trace, series, tmp_path,
+                                                     atom_labels=labels))
+        assert peak <= self.WRITE_PEAK
